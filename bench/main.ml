@@ -31,10 +31,10 @@ let smoke = ref false
 
 let sweep_product () = if !smoke then 16 else 256
 
-let ctx ?(pipelined = true) ?incremental name =
+let ctx ?(pipelined = true) name =
   let k = Option.get (Kernels.find name) in
   let profile = Estimate.default_profile ~pipelined () in
-  Design.context ~profile ?incremental k
+  Design.context ~profile k
 
 let divisors = Dse.Util.divisors
 
@@ -291,9 +291,9 @@ let dse_json () =
     cold_session.Dse.Driver.total.Design.evaluations
     warm_session.Dse.Driver.total.Design.evaluations
     cold_session.Dse.Driver.sched_memo_shapes;
-  Printf.printf "%-8s %10s %8s %12s %11s %12s %8s %8s %8s %7s %6s %11s %6s\n"
-    "kernel" "search(ms)" "evals" "sweep(ms)" "noinc(ms)" "pruned(ms)" "synth"
-    "pruned" "smhits" "region" "delta" "verify(ms)" "viol";
+  Printf.printf "%-8s %10s %8s %12s %12s %8s %8s %8s %11s %6s\n"
+    "kernel" "search(ms)" "evals" "sweep(ms)" "pruned(ms)" "synth" "pruned"
+    "smhits" "verify(ms)" "viol";
   (* Kernels on which the joint configuration sweep beat the unroll-only
      sweep outright (fewer cycles, or fewer slices at equal cycles). *)
   let joint_wins = ref 0 in
@@ -313,15 +313,6 @@ let dse_json () =
         let sp_full = Space.sweep ~max_product:mp ~jobs:1 c_full in
         let t_full = Dse.Util.now () -. t0 in
         let gc_full = Gc.minor_words () -. gc0 in
-        (* The same lattice with the structure-sharing paths disabled
-           ([--no-incremental]): no DFG arena, no region snapshots, no
-           delta transform cache. Results must be field-for-field
-           identical; the wall-time gap is the incremental machinery's
-           contribution. *)
-        let c_noinc = ctx ~incremental:false name in
-        let t0 = Dse.Util.now () in
-        let sp_noinc = Space.sweep ~max_product:mp ~jobs:1 c_noinc in
-        let t_noinc = Dse.Util.now () -. t0 in
         let c_pruned = ctx name in
         let t0 = Dse.Util.now () in
         let sp_pruned = Space.sweep ~max_product:mp ~prune:true ~jobs:1 c_pruned in
@@ -346,27 +337,8 @@ let dse_json () =
         let jt = Space.sweep_joint ~max_product:mp c_joint in
         let t_joint = Dse.Util.now () -. t0 in
         let best_full = Option.get (Space.best_fitting c_full sp_full) in
-        let best_noinc = Option.get (Space.best_fitting c_noinc sp_noinc) in
         let best_pruned = Option.get (Space.best_fitting c_pruned sp_pruned) in
         let best_verified = Option.get (Space.best_fitting c_verified sp_verified) in
-        if !smoke then begin
-          (* The incremental and from-scratch sweeps must agree point for
-             point, not just on the winner. *)
-          List.iter2
-            (fun (a : Space.sweep_point) (b : Space.sweep_point) ->
-              if
-                not
-                  (Design.vector_equal a.Space.vector b.Space.vector
-                  && Design.cycles a.Space.point = Design.cycles b.Space.point
-                  && Design.space a.Space.point = Design.space b.Space.point)
-              then
-                failwith
-                  (Printf.sprintf
-                     "incremental sweep diverged from --no-incremental on %s \
-                      at %s"
-                     name (vec_str a.Space.vector)))
-            sp_full.Space.points sp_noinc.Space.points
-        end;
         let sched_memo_hits =
           c.Design.stats.Design.sched_memo_hits
           + c_full.Design.stats.Design.sched_memo_hits
@@ -387,16 +359,13 @@ let dse_json () =
                "joint sweep selected a slower design than unroll-only on %s \
                 (%d vs %d cycles)"
                name jb_cycles ub_cycles);
-        Printf.printf
-          "%-8s %10.1f %8d %12.1f %11.1f %12.1f %8d %8d %8d %7d %6d %11.1f \
-           %6d\n"
+        Printf.printf "%-8s %10.1f %8d %12.1f %12.1f %8d %8d %8d %11.1f %6d\n"
           name
           (1000.0 *. t_search)
           r.Search.stats.Design.evaluations
-          (1000.0 *. t_full) (1000.0 *. t_noinc) (1000.0 *. t_pruned)
+          (1000.0 *. t_full) (1000.0 *. t_pruned)
           c_pruned.Design.stats.Design.evaluations sp_pruned.Space.pruned
-          sched_memo_hits c_full.Design.stats.Design.region_memo_hits
-          c_full.Design.stats.Design.delta_reuses
+          sched_memo_hits
           (1000.0 *. t_verified)
           c_verified.Design.stats.Design.verify_violations;
         Printf.printf
@@ -454,20 +423,7 @@ let dse_json () =
             ( "sweep_estimate_seconds_full",
               Printf.sprintf "%.6f" c_full.Design.stats.Design.estimate_seconds
             );
-            ( "sweep_region_memo_hits_full",
-              string_of_int c_full.Design.stats.Design.region_memo_hits );
-            ( "sweep_delta_reuses_full",
-              string_of_int c_full.Design.stats.Design.delta_reuses );
             ("sweep_gc_minor_mwords_full", Printf.sprintf "%.3f" (gc_full /. 1e6));
-            ("sweep_seconds_noincremental", Printf.sprintf "%.6f" t_noinc);
-            ( "incremental_selection_unchanged",
-              if
-                Design.vector_equal best_full.Space.vector
-                  best_noinc.Space.vector
-                && Design.cycles best_full.Space.point
-                   = Design.cycles best_noinc.Space.point
-              then "true"
-              else "false" );
             ( "best_cycles_full",
               string_of_int (Design.cycles best_full.Space.point) );
             ( "best_cycles_pruned",

@@ -216,15 +216,6 @@ let print_joint_counters (j : Dse.Space.joint) =
     (List.length j.Dse.Space.points)
     (if j.Dse.Space.truncated then " (budget exhausted)" else "")
 
-let no_incremental_arg =
-  let doc =
-    "Rebuild every design point from scratch: disable the store's DFG \
-     arena, the region-level schedule snapshots and the delta transform \
-     cache. Results are field-for-field identical; this is the A/B \
-     escape hatch for timing the structure-sharing paths."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let explore_kernels_arg =
   let doc =
     "Built-in kernel name (fir, mm, pat, jac, sobel). Repeatable: several \
@@ -263,9 +254,8 @@ let load_tasks kernels file : Engine.task list =
       named @ from_file
 
 let explore kernels file non_pipelined memories capacity report prof verify
-    no_incremental cache_dir cold backend_name jobs joint tile_candidates =
+    cache_dir cold backend_name jobs joint tile_candidates =
   let tile_candidates = parse_tile_candidates tile_candidates in
-  let incremental = not no_incremental in
   let tasks = load_tasks kernels file in
   let profile = make_profile ~non_pipelined ~memories in
   let backend = backend_of_flag backend_name in
@@ -279,7 +269,7 @@ let explore kernels file non_pipelined memories capacity report prof verify
             exit 1
       in
       let ctx =
-        Dse.Design.context ~profile ~verify ~incremental ~capacity ~backend k
+        Dse.Design.context ~profile ~verify ~capacity ~backend k
       in
       let r = Dse.Report.build ctx in
       let text = Dse.Report.to_string r in
@@ -294,8 +284,8 @@ let explore kernels file non_pipelined memories capacity report prof verify
       exit 0
   | None -> ());
   let summary =
-    Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~incremental
-      ~capacity ~backend ?jobs tasks
+    Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~capacity ~backend
+      ?jobs tasks
   in
   List.iter
     (fun (o : Dse.Driver.outcome) ->
@@ -379,8 +369,8 @@ let explore_cmd =
     Term.(
       const explore $ explore_kernels_arg $ file_arg $ pipelined_arg
       $ memories_arg $ capacity_arg $ report_arg $ profile_arg $ verify_arg
-      $ no_incremental_arg $ cache_dir_arg $ cold_arg $ backend_arg
-      $ explore_jobs_arg $ joint_arg $ tile_candidates_arg)
+      $ cache_dir_arg $ cold_arg $ backend_arg $ explore_jobs_arg $ joint_arg
+      $ tile_candidates_arg)
 
 (* ------------------------------------------------------------------ *)
 (* estimate *)
@@ -443,8 +433,7 @@ let prune_arg =
   Arg.(value & flag & info [ "prune" ] ~doc)
 
 let space kernel file non_pipelined memories capacity max_product prune jobs
-    verify no_incremental cache_dir cold backend_name joint tile_candidates =
-  let incremental = not no_incremental in
+    verify cache_dir cold backend_name joint tile_candidates =
   let tile_candidates = parse_tile_candidates tile_candidates in
   let k = or_die (load_kernel kernel file) in
   let profile = make_profile ~non_pipelined ~memories in
@@ -463,8 +452,7 @@ let space kernel file non_pipelined memories capacity max_product prune jobs
            store.Engine.Store.sched_memo)
   | _ -> ());
   let ctx =
-    Dse.Design.context ~profile ~verify ~incremental ~capacity ~backend ~store
-      k
+    Dse.Design.context ~profile ~verify ~capacity ~backend ~store k
   in
   if joint then begin
     let j = Dse.Space.sweep_joint ~max_product ~tile_candidates ctx in
@@ -539,8 +527,8 @@ let space_cmd =
     Term.(
       const space $ kernel_arg $ file_arg $ pipelined_arg $ memories_arg
       $ capacity_arg $ max_product_arg $ prune_arg $ jobs_arg $ verify_arg
-      $ no_incremental_arg $ cache_dir_arg $ cold_arg $ backend_arg
-      $ joint_arg $ tile_candidates_arg)
+      $ cache_dir_arg $ cold_arg $ backend_arg $ joint_arg
+      $ tile_candidates_arg)
 
 (* ------------------------------------------------------------------ *)
 (* cache *)

@@ -50,12 +50,12 @@ type stats = Engine.Store.stats = {
       (** blocks whose tri-schedule was served content-addressed from
           the fingerprint memo instead of being scheduled *)
   mutable region_memo_hits : int;
-      (** blocks that missed the whole-block memo but restored a
-          statement-prefix scheduler snapshot and scheduled only the
-          tail *)
+      (** always 0: the region-level schedule memo that counted here is
+          gone; the field stays only because the benchmark harness
+          ([dsebench/layers.ml]) still reads it *)
   mutable delta_reuses : int;
-      (** design points whose transform pipeline reused a cached
-          outer-prefix unroll instead of unrolling from the source *)
+      (** always 0: the delta unroll cache that counted here is gone;
+          kept only because the benchmark harness still reads it *)
   mutable checked_points : int;
       (** design points whose pipeline run was translation-validated
           ([--verify]) *)
@@ -105,10 +105,6 @@ type context = {
       (** translation-validate every uncached evaluation
           ({!Check.Validate}); selections are bit-identical, violations
           are counted in [stats] *)
-  incremental : bool;
-      (** use the structure-sharing evaluation paths (DFG arena,
-          region-level schedule snapshots, delta transform cache);
-          [false] is the [--no-incremental] escape hatch *)
   stats : stats;  (** alias of [store.stats] — kept as a field so the
           historical [ctx.stats.evaluations] accesses keep working *)
 }
@@ -126,7 +122,6 @@ let env (ctx : context) : Engine.Backend.env =
     pipeline = ctx.pipeline;
     quick_facts = ctx.quick_facts;
     verify = ctx.verify;
-    incremental = ctx.incremental;
   }
 
 (** A context over an engine-built environment and an existing (possibly
@@ -145,18 +140,16 @@ let of_env ?(backend = Engine.Backend.default) ~(store : Engine.Store.t)
     store;
     quick_facts = env.Engine.Backend.quick_facts;
     verify = env.Engine.Backend.verify;
-    incremental = env.Engine.Backend.incremental;
     stats = store.Engine.Store.stats;
   }
 
-let context ?pipeline ?profile ?verify ?incremental ?capacity ?backend ?store
+let context ?pipeline ?profile ?verify ?capacity ?backend ?store
     (source : Ast.kernel) =
   let store =
     match store with Some s -> s | None -> Engine.Store.create ()
   in
   of_env ?backend ~store
-    (Engine.Backend.make_env ?pipeline ?profile ?verify ?incremental ?capacity
-       source)
+    (Engine.Backend.make_env ?pipeline ?profile ?verify ?capacity source)
 
 let normalize_vector (ctx : context) (v : (string * int) list) :
     (string * int) list =
@@ -325,10 +318,6 @@ let pp_profile fmt (s : stats) =
     (1000.0 *. s.schedule_seconds)
     (1000.0 *. s.layout_seconds)
     (1000.0 *. other) s.sched_memo_hits;
-  if s.region_memo_hits > 0 || s.delta_reuses > 0 then
-    Format.fprintf fmt
-      "; incremental: %d region-prefix restores, %d delta transform reuses"
-      s.region_memo_hits s.delta_reuses;
   if s.checked_points > 0 then
     Format.fprintf fmt
       "; translation validation: %d point(s) checked, %d violation(s)"

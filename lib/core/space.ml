@@ -100,7 +100,8 @@ let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count () - 1))
    point, so a skip is justified no matter when it is read — with
    several domains the *set* of pruned points may vary between runs
    (a slower domain may evaluate a point a faster run would skip), but
-   the selected designs never do. *)
+   the selected designs never do. With one job (or too few points to
+   share) the same loop runs inline on [ctx]. *)
 let evaluate_pruned ?pool ~jobs ~prune_slack (ctx : Design.context)
     (vecs : (string * int) list array) (q : Hls.Quick.t array) :
     sweep_point option array =
@@ -110,81 +111,45 @@ let evaluate_pruned ?pool ~jobs ~prune_slack (ctx : Design.context)
     else int_of_float (Float.ceil (float_of_int inc *. (1.0 +. prune_slack)))
   in
   let results : sweep_point option array = Array.make n None in
-  if jobs <= 1 || n < 2 * jobs then begin
-    (* Sequentially, visit in *reverse* lattice order, deferring points
-       the gate would skip. Reversed, the high-unroll (fast) designs
-       come first, so the incumbent tightens immediately and the slow
-       low-unroll tail is gated — the same prunes the bound-ascending
-       permutation finds. Unlike that permutation, a reversed lattice
-       walk keeps consecutive points structurally adjacent (runs of
-       shared outer-unroll prefixes, shared schedule prefixes), which
-       is the locality the incremental caches feed on. Deferred points
-       are re-checked against the final incumbent, so late tightening
-       loses no prunes. *)
-    let incumbent = ref max_int in
-    let visit i =
-      let p = Design.evaluate ctx vecs.(i) in
-      results.(i) <- Some { vector = vecs.(i); point = p };
-      if Design.space p <= ctx.Design.capacity then
-        incumbent := min !incumbent (Design.cycles p)
+  let order = Array.init n (fun i -> i) in
+  Array.sort
+    (fun a b ->
+      compare (q.(a).Hls.Quick.cycles_lb, a) (q.(b).Hls.Quick.cycles_lb, b))
+    order;
+  let incumbent = Atomic.make max_int in
+  let rec lower_incumbent c =
+    let cur = Atomic.get incumbent in
+    if c < cur && not (Atomic.compare_and_set incumbent cur c) then
+      lower_incumbent c
+  in
+  let cursor = Atomic.make 0 in
+  let chunk = max 1 (n / (jobs * 8)) in
+  let worker (fork : Design.context) () =
+    let rec loop () =
+      let start = Atomic.fetch_and_add cursor chunk in
+      if start < n then begin
+        for k = start to min (start + chunk) n - 1 do
+          let i = order.(k) in
+          let qi = q.(i) in
+          if
+            qi.Hls.Quick.slices_lb > ctx.Design.capacity
+            || qi.Hls.Quick.cycles_lb > limit (Atomic.get incumbent)
+          then Design.note_pruned fork
+          else begin
+            let p = Design.evaluate fork vecs.(i) in
+            results.(i) <- Some { vector = vecs.(i); point = p };
+            if Design.space p <= ctx.Design.capacity then
+              lower_incumbent (Design.cycles p)
+          end
+        done;
+        loop ()
+      end
     in
-    let deferred = ref [] in
-    for i = n - 1 downto 0 do
-      let qi = q.(i) in
-      if qi.Hls.Quick.slices_lb > ctx.Design.capacity then
-        Design.note_pruned ctx
-      else if qi.Hls.Quick.cycles_lb > limit !incumbent then
-        deferred := i :: !deferred
-      else visit i
-    done;
-    List.iter
-      (fun i ->
-        if q.(i).Hls.Quick.cycles_lb > limit !incumbent then
-          Design.note_pruned ctx
-        else visit i)
-      !deferred
-  end
+    loop ()
+  in
+  if jobs <= 1 || n < 2 * jobs then worker ctx ()
   else begin
-    (* With several domains the forks do not share scratch caches, so
-       the bound-ascending order keeps its original value: it tightens
-       the shared incumbent as early as possible. *)
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        compare (q.(a).Hls.Quick.cycles_lb, a) (q.(b).Hls.Quick.cycles_lb, b))
-      order;
-    let incumbent = Atomic.make max_int in
-    let rec lower_incumbent c =
-      let cur = Atomic.get incumbent in
-      if c < cur && not (Atomic.compare_and_set incumbent cur c) then
-        lower_incumbent c
-    in
-    let cursor = Atomic.make 0 in
-    let chunk = max 1 (n / (jobs * 8)) in
     let forks = Array.init jobs (fun _ -> Design.fork ctx) in
-    let worker (fork : Design.context) () =
-      let rec loop () =
-        let start = Atomic.fetch_and_add cursor chunk in
-        if start < n then begin
-          for k = start to min (start + chunk) n - 1 do
-            let i = order.(k) in
-            let qi = q.(i) in
-            if
-              qi.Hls.Quick.slices_lb > ctx.Design.capacity
-              || qi.Hls.Quick.cycles_lb > limit (Atomic.get incumbent)
-            then Design.note_pruned fork
-            else begin
-              let p = Design.evaluate fork vecs.(i) in
-              results.(i) <- Some { vector = vecs.(i); point = p };
-              if Design.space p <= ctx.Design.capacity then
-                lower_incumbent (Design.cycles p)
-            end
-          done;
-          loop ()
-        end
-      in
-      loop ()
-    in
     run_workers ?pool (Array.map worker forks);
     Array.iter (fun fork -> Design.absorb ~into:ctx fork) forks
   end;
@@ -219,46 +184,14 @@ let sweep ?eligible ?(max_product = max_int) ?(prune = false)
       if List.exists Option.is_none qs then None
       else Some (Array.of_list (List.map Option.get qs))
   in
-  (* Pruning provably cannot skip a point when every lower bound fits
-     the device and lies within the slack band of the smallest bound:
-     the incumbent is the true cycle count of some fitting point, which
-     is at least the smallest bound, so the gate never fires. In that
-     case — and on lattices too small to amortize the sort — the
-     two-tier machinery only costs: the bound-ascending visit order
-     breaks the locality the incremental caches feed on (consecutive
-     lattice points share schedule-prefix and outer-unroll structure).
-     Fall back to the plain lattice-order sweep; the result is the same
-     point set either way. *)
-  let gate_worthwhile (q : Hls.Quick.t array) =
-    Array.length q >= 16
-    && (Array.exists
-          (fun (qi : Hls.Quick.t) ->
-            qi.Hls.Quick.slices_lb > ctx.Design.capacity)
-          q
-       ||
-       let min_lb =
-         Array.fold_left
-           (fun m (qi : Hls.Quick.t) -> min m qi.Hls.Quick.cycles_lb)
-           max_int q
-       in
-       let band =
-         if min_lb = max_int then max_int
-         else
-           int_of_float
-             (Float.ceil (float_of_int min_lb *. (1.0 +. prune_slack)))
-       in
-       Array.exists
-         (fun (qi : Hls.Quick.t) -> qi.Hls.Quick.cycles_lb > band)
-         q)
-  in
   let points, pruned =
     match quicks with
-    | Some q when gate_worthwhile q ->
+    | Some q ->
         let vecs = Array.of_list vectors in
         let results = evaluate_pruned ?pool ~jobs ~prune_slack ctx vecs q in
         let pts = List.filter_map (fun x -> x) (Array.to_list results) in
         (pts, Array.length vecs - List.length pts)
-    | _ ->
+    | None ->
         let pts =
           if jobs <= 1 || List.length vectors < 2 * jobs then
             List.map (fun v -> { vector = v; point = Design.evaluate ctx v }) vectors

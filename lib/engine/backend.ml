@@ -42,17 +42,11 @@ type env = {
       (** translation-validate every uncached evaluation
           ({!Check.Validate}); selections are bit-identical, violations
           are counted in the store's stats *)
-  incremental : bool;
-      (** use the structure-sharing evaluation paths: the store's DFG
-          arena, region-level schedule snapshots and the delta transform
-          cache. Results are field-for-field identical either way; [false]
-          is the [--no-incremental] escape hatch that rebuilds every
-          point from scratch *)
 }
 
 let make_env ?(pipeline = Transform.Pipeline.default)
-    ?(profile = Hls.Estimate.default_profile ()) ?(verify = false)
-    ?(incremental = true) ?capacity (source : Ast.kernel) : env =
+    ?(profile = Hls.Estimate.default_profile ()) ?(verify = false) ?capacity
+    (source : Ast.kernel) : env =
   let spine = Loop_nest.spine source.k_body in
   let quick_facts =
     (* One facts value per tile candidate, computed from the (possibly
@@ -101,7 +95,6 @@ let make_env ?(pipeline = Transform.Pipeline.default)
     pipeline;
     quick_facts;
     verify;
-    incremental;
   }
 
 (** Normalise a vector to cover every spine loop, with factors clamped to
@@ -193,10 +186,7 @@ let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
   let stats = store.Store.stats in
   let t0 = Util.now () in
   let r =
-    if not env.verify then
-      Transform.Pipeline.apply
-        ?delta:(if env.incremental then Some store.Store.delta_cache else None)
-        opts env.source
+    if not env.verify then Transform.Pipeline.apply opts env.source
     else begin
       (* Verified evaluation: same pipeline, instrumented per stage by
          the translation validator, plus the flow-graph dataflow checks
@@ -244,13 +234,10 @@ let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
                   (Check.Validate.violations outcome)))
     end
   in
-  if r.Transform.Pipeline.delta_reused then
-    stats.Store.delta_reuses <- stats.Store.delta_reuses + 1;
   let t1 = Util.now () in
   let timers = Hls.Estimate.fresh_timers () in
   let estimate =
     Hls.Estimate.estimate ~sched_memo:store.Store.sched_memo ~timers
-      ?arena:(if env.incremental then Some store.Store.arena else None)
       env.profile r.Transform.Pipeline.kernel
   in
   let t2 = Util.now () in
@@ -265,8 +252,6 @@ let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
     stats.Store.layout_seconds +. timers.Hls.Estimate.layout_seconds;
   stats.Store.sched_memo_hits <-
     stats.Store.sched_memo_hits + timers.Hls.Estimate.sched_memo_hits;
-  stats.Store.region_memo_hits <-
-    stats.Store.region_memo_hits + timers.Hls.Estimate.region_memo_hits;
   {
     Store.config = c;
     vector = c.Store.vector;

@@ -21,18 +21,12 @@ type env = {
           source, keeping the quick bounds admissible under tiling *)
   verify : bool;
       (** translation-validate every uncached evaluation *)
-  incremental : bool;
-      (** use the structure-sharing paths (DFG arena, region-level
-          schedule snapshots, delta transform cache); results are
-          field-for-field identical either way. [false] is the
-          [--no-incremental] escape hatch *)
 }
 
 val make_env :
   ?pipeline:Transform.Pipeline.options ->
   ?profile:Hls.Estimate.profile ->
   ?verify:bool ->
-  ?incremental:bool ->
   ?capacity:int ->
   Ast.kernel ->
   env

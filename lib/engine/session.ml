@@ -36,7 +36,7 @@ type 'r summary = {
 }
 
 let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify
-    ?incremental ?capacity ?(backend = Backend.default) ?pool ?jobs
+    ?capacity ?(backend = Backend.default) ?pool ?jobs
     ~(explore :
        env:Backend.env -> store:Store.t -> pool:Pool.t option -> 'r)
     (tasks : task list) : 'r summary =
@@ -47,8 +47,7 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify
     | [] -> None
     | t :: _ ->
         Some
-          (Backend.make_env ?pipeline ?profile ?verify ?incremental ?capacity
-             t.kernel)
+          (Backend.make_env ?pipeline ?profile ?verify ?capacity t.kernel)
   in
   let config =
     match probe with
@@ -67,8 +66,7 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify
     List.map
       (fun task ->
         let env =
-          Backend.make_env ?pipeline ?profile ?verify ?incremental ?capacity
-            task.kernel
+          Backend.make_env ?pipeline ?profile ?verify ?capacity task.kernel
         in
         let store = Store.create ~sched_memo () in
         let loaded_points =

@@ -41,7 +41,6 @@ val run_many :
   ?pipeline:Transform.Pipeline.options ->
   ?profile:Hls.Estimate.profile ->
   ?verify:bool ->
-  ?incremental:bool ->
   ?capacity:int ->
   ?backend:Backend.t ->
   ?pool:Pool.t ->

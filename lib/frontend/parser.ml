@@ -472,6 +472,8 @@ let parse_program st ~name : Ast.kernel =
     else stmts (parse_stmt st :: acc)
   in
   let body = stmts [] in
+  (* Nothing to explore: every flow would report a zero-cycle design. *)
+  if body = [] then error (peek_pos st) "kernel has no statements";
   let k =
     {
       Ast.k_name = name;

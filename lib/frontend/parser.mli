@@ -10,7 +10,8 @@ exception Error of Lexer.pos * string
 
 (** Parse a kernel from source text; raises {!Error} or {!Lexer.Error}
     with a position on malformed input. Semantic checks (declarations,
-    subscript arity, index discipline) are included. *)
+    subscript arity, index discipline) are included; a kernel with no
+    statements is rejected. *)
 val kernel_of_string : name:string -> string -> Ir.Ast.kernel
 
 (** [Result]-returning variant with a rendered ["line:col: message"]

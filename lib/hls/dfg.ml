@@ -21,10 +21,9 @@
     operation.
 
     Construction is {e append-only}: a node's content depends only on the
-    statements already consumed, never on later ones, so the graph of a
-    statement prefix of a block is literally an array prefix of the full
-    block's graph — the property the region-level schedule memo builds
-    on (see {!of_block_arena} and its statement marks). *)
+    statements already consumed, never on later ones, so the structural
+    fingerprint (see {!fingerprint}) is written as the nodes land, with
+    no second pass over the graph. *)
 
 open Ir
 module Access = Analysis.Access
@@ -96,19 +95,19 @@ let pop_access cur array kind =
 
 let dummy_node = { id = -1; kind = Source (Const 0); preds = [] }
 
-(** Reusable construction scratch. One arena serves any number of
-    [of_block_arena] calls in sequence; the node storage, the scalar
-    environments and the per-kernel declaration tables persist across
-    blocks (and across design points, when the caller threads one arena
-    through a whole sweep), so steady-state construction allocates only
-    the nodes themselves.
+(** Construction scratch. One scratch serves any number of
+    {!of_block_into} calls in sequence: the node storage and the
+    per-kernel declaration tables persist across the blocks of one
+    kernel (the scalar environments are cleared per block), so only the
+    first large block pays for growing the storage.
 
     The declaration tables matter as much as the storage: after scalar
     replacement of a heavily unrolled body, [k_scalars] holds thousands
     of compiler-introduced registers, and the [List.find_opt] behind
-    {!Ast.expr_type} turns every width query quadratic. The arena hashes
-    declarations once per kernel (refreshed on physical inequality). *)
-type arena = {
+    {!Ast.expr_type} turns every width query quadratic. The scratch
+    hashes declarations once per kernel (refreshed on physical
+    inequality). *)
+type scratch = {
   mutable buf : node array;  (* first [count] slots of the current block live *)
   fp_buf : Buffer.t;  (* fingerprint of the current block, built as nodes land *)
   defs0 : (string, int) Hashtbl.t;  (* scalar -> defining node *)
@@ -120,7 +119,7 @@ type arena = {
   mutable typed_for : Ast.kernel option;  (* kernel the tables describe *)
 }
 
-let arena () =
+let scratch () =
   {
     buf = Array.make 256 dummy_node;
     fp_buf = Buffer.create 1024;
@@ -135,7 +134,7 @@ let arena () =
 
 type builder = {
   k : Ast.kernel;
-  a : arena;
+  a : scratch;
   mem_of : Access.t -> int;
   cur : cursor;
   mutable count : int;
@@ -286,7 +285,7 @@ let order_preds_for_store b array =
    node id. The type is exactly {!Ast.expr_type} of the subtree (operand
    join for intermediates), computed bottom-up in one pass instead of by
    re-walking the subtree — and the declaration lookups behind the leaves
-   come from the arena's hash tables. *)
+   come from the scratch's hash tables. *)
 let rec build_expr b (e : Ast.expr) : int * Dtype.t =
   match e with
   | Ast.Int n -> (add b (Source (Const n)) [], Dtype.int32)
@@ -451,53 +450,40 @@ let rec build_stmt b (s : Ast.stmt) : unit =
         rs
   | Ast.For _ -> invalid_arg "Dfg.of_block: loops must be factored out"
 
-let builder_of arena ~kernel ~mem_of ~cursor =
-  retype arena kernel;
-  Hashtbl.reset arena.defs0;
-  Hashtbl.reset arena.inputs;
-  Hashtbl.reset arena.last_store;
-  Hashtbl.reset arena.loads_since;
-  Buffer.clear arena.fp_buf;
+let builder_of sc ~kernel ~mem_of ~cursor =
+  retype sc kernel;
+  Hashtbl.reset sc.defs0;
+  Hashtbl.reset sc.inputs;
+  Hashtbl.reset sc.last_store;
+  Hashtbl.reset sc.loads_since;
+  Buffer.clear sc.fp_buf;
   {
     k = kernel;
-    a = arena;
+    a = sc;
     mem_of;
     cur = cursor;
     count = 0;
-    defs = arena.defs0;
+    defs = sc.defs0;
     guards = [];
   }
 
-(** Build into [arena] and return a {e view}: [nodes] aliases the arena's
-    storage (slots at and beyond [len] are garbage), valid until the next
-    build that uses the same arena. The second component marks the
-    top-level statement boundaries of the block: entry [i] is
-    [(node_count, fp_bytes)] after statements [0..i], so the graph of
-    that statement prefix is exactly nodes [0 .. node_count - 1] and its
-    fingerprint is exactly the first [fp_bytes] bytes of [fp] — the keys
-    under which the region-level schedule memo stores its snapshots. *)
-let of_block_arena ~(arena : arena) ~(kernel : Ast.kernel)
-    ~(mem_of : Access.t -> int) ~(cursor : cursor) (stmts : Ast.stmt list) :
-    t * (int * int) array =
-  let b = builder_of arena ~kernel ~mem_of ~cursor in
-  let marks =
-    List.map
-      (fun s ->
-        build_stmt b s;
-        (b.count, Buffer.length arena.fp_buf))
-      stmts
-  in
-  ( { nodes = arena.buf; len = b.count; fp = Buffer.contents arena.fp_buf },
-    Array.of_list marks )
+(** Build into [scratch] and return a {e view}: [nodes] aliases the
+    scratch's storage (slots at and beyond [len] are garbage), valid
+    until the next build that uses the same scratch. *)
+let of_block_into ~(scratch : scratch) ~(kernel : Ast.kernel)
+    ~(mem_of : Access.t -> int) ~(cursor : cursor) (stmts : Ast.stmt list) : t =
+  let b = builder_of scratch ~kernel ~mem_of ~cursor in
+  List.iter (build_stmt b) stmts;
+  { nodes = scratch.buf; len = b.count; fp = Buffer.contents scratch.fp_buf }
 
 (** Build the DFG of a straight-line block. [cursor] advances past the
     block's accesses. The final scalar environment (scalar name -> node
     that holds its value at block exit) is returned alongside, for the
     simulator's write-back. The result owns its storage (safe to retain),
-    unlike {!of_block_arena}'s view. *)
+    unlike {!of_block_into}'s view. *)
 let of_block_with_defs ~(kernel : Ast.kernel) ~(mem_of : Access.t -> int)
     ~(cursor : cursor) (stmts : Ast.stmt list) : t * (string * int) list =
-  let b = builder_of (arena ()) ~kernel ~mem_of ~cursor in
+  let b = builder_of (scratch ()) ~kernel ~mem_of ~cursor in
   List.iter (build_stmt b) stmts;
   let defs =
     Hashtbl.fold (fun v id acc -> (v, id) :: acc) b.defs []
@@ -514,7 +500,7 @@ let of_block ~kernel ~mem_of ~cursor stmts =
   fst (of_block_with_defs ~kernel ~mem_of ~cursor stmts)
 
 (* The fingerprint contract (kept bit-compatible with the former
-   after-the-fact encoder, and realised incrementally by {!encode_fp}):
+   after-the-fact encoder, and realised node by node by {!encode_fp}):
    a compact, unambiguous encoding of exactly the schedule-relevant
    projection of every node — the kind tag, operator class and width for
    [Op], memory id and width for [Load]/[Store], and the predecessor

@@ -53,10 +53,6 @@ type result = {
   kernel : Ast.kernel;
   report : Scalar_replace.report;
   options : options;
-  delta_reused : bool;
-      (** the unroll stage rebuilt only the innermost axis, reusing the
-          delta cache's outer-prefix body (always [false] without
-          [?delta]) *)
 }
 
 (** Pipeline stages in application order. [Tile] runs only when
@@ -73,16 +69,12 @@ val stage_name : stage -> string
 exception
   Stage_error of { stage : stage; kernel : string; message : string }
 
-(** [apply ?observe ?delta opts k] runs the pipeline. When given,
-    [observe] is called after every executed stage with the kernel
-    before and after that stage — the hook the checker's translation
-    validation uses. When given, [delta] stages the unroll through the
-    cache so sweeps that vary the innermost factor fastest rebuild only
-    that axis. The returned kernel is bit-identical whether or not
-    either option is passed. *)
+(** [apply ?observe opts k] runs the pipeline. When given, [observe] is
+    called after every executed stage with the kernel before and after
+    that stage — the hook the checker's translation validation uses. The
+    returned kernel is bit-identical whether or not it is passed. *)
 val apply :
   ?observe:(stage -> before:Ast.kernel -> after:Ast.kernel -> unit) ->
-  ?delta:Unroll.cache ->
   options ->
   Ast.kernel ->
   result

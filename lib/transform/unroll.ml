@@ -154,26 +154,29 @@ let jam_legal (k : kernel) : bool =
       check d.distance)
     deps
 
-(** Single-entry staged-unroll cache for one source kernel: the jamming
-    legality verdict (a dependence analysis of the source, identical for
-    every point of a sweep) and the raw body after unrolling the
-    outer-prefix factors. The sweep's lexicographic walk varies the
-    innermost factor fastest, so consecutive points share the outer
-    prefix and rebuild only the innermost axis. Keys compare the kernel
-    physically: the cache serves one sweep's source, never stale data. *)
-type cache = {
-  mutable legal : (kernel * bool) option;
-  mutable outer : (kernel * vector * Ast.stmt list) option;
-}
+(* One-slot memo of {!jam_legal}: the verdict is a dependence analysis
+   of the source kernel, identical for every point of a sweep over it.
+   The slot is keyed on the kernel's physical identity, so it can never
+   answer for a different kernel (a rebuilt or transformed kernel is a
+   new value), and it is domain-local, so parallel sweep workers never
+   share it. *)
+let legal_memo : (kernel * bool) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
-let cache () : cache = { legal = None; outer = None }
+let jam_legal_memo (k : kernel) : bool =
+  let slot = Domain.DLS.get legal_memo in
+  match !slot with
+  | Some (k0, b) when k0 == k -> b
+  | _ ->
+      let b = jam_legal k in
+      slot := Some (k, b);
+      b
 
 (** The vector {!run} would actually apply to [k]: clamped to trip
     counts, dropped when trivial, and reduced to the innermost loop when
     jamming is not provably legal (plain unrolling of the innermost loop
-    keeps original iteration order, so it never reorders a dependence).
-    With [cache], the legality verdict is reused across points. *)
-let effective ?(cache : cache option) (k : kernel) (v : vector) : vector =
+    keeps original iteration order, so it never reorders a dependence). *)
+let effective (k : kernel) (v : vector) : vector =
   let v = clamp k.k_body v in
   if v = [] then []
   else begin
@@ -185,18 +188,7 @@ let effective ?(cache : cache option) (k : kernel) (v : vector) : vector =
              let innermost = (List.nth spine (List.length spine - 1)).index in
              List.exists (fun (i, u) -> u > 1 && i <> innermost) v)
     in
-    let legal () =
-      match cache with
-      | Some c -> (
-          match c.legal with
-          | Some (k0, b) when k0 == k -> b
-          | _ ->
-              let b = jam_legal k in
-              c.legal <- Some (k, b);
-              b)
-      | None -> jam_legal k
-    in
-    if (not multi_loop) || legal () then v
+    if (not multi_loop) || jam_legal_memo k then v
     else
       match List.rev (Loop_nest.spine k.k_body) with
       | [] -> []
@@ -209,36 +201,3 @@ let run (v : vector) (k : kernel) : kernel =
   match effective k v with
   | [] -> Simplify.run k
   | v -> Simplify.run { k with k_body = unroll_body v k.k_body }
-
-(** Like {!run}, staged through [cache]: the factors of the outer spine
-    loops are applied first (raw, unsimplified) and that intermediate
-    body is memoized, so a point that shares the previous point's outer
-    prefix unrolls only the innermost axis. Staging is exact — unrolling
-    is applied loop-by-loop outside-in either way, and simplification
-    runs once at the end in both paths — so the result is the same
-    kernel {!run} returns. The boolean reports whether the cached prefix
-    was reused (the [delta_reuses] counter). *)
-let run_delta ~(cache : cache) (v : vector) (k : kernel) : kernel * bool =
-  match effective ~cache k v with
-  | [] -> (Simplify.run k, false)
-  | ve -> (
-      let inner_index =
-        match List.rev (Loop_nest.spine k.k_body) with
-        | [] -> ""
-        | l :: _ -> l.index
-      in
-      let outer = List.filter (fun (i, _) -> i <> inner_index) ve in
-      let inner = List.filter (fun (i, _) -> i = inner_index) ve in
-      match outer with
-      | [] -> (Simplify.run { k with k_body = unroll_body ve k.k_body }, false)
-      | _ ->
-          let mid, reused =
-            match cache.outer with
-            | Some (k0, o0, body) when k0 == k && o0 = outer -> (body, true)
-            | _ ->
-                let body = unroll_body outer k.k_body in
-                cache.outer <- Some (k, outer, body);
-                (body, false)
-          in
-          let body = if inner = [] then mid else unroll_body inner mid in
-          (Simplify.run { k with k_body = body }, reused))

@@ -331,7 +331,11 @@ let test_exit_codes () =
   Alcotest.(check int) "error fixture exits 2" 2
     (defacto [ "check"; "-f"; (build_path "../examples/checks/oob_err.c") ]);
   Alcotest.(check int) "front-end rejection exits 2" 2
-    (defacto [ "check"; "-f"; (build_path "../examples/checks/parse_err.c") ])
+    (defacto [ "check"; "-f"; (build_path "../examples/checks/parse_err.c") ]);
+  let empty = build_path "../examples/checks/empty_err.c" in
+  Alcotest.(check int) "empty kernel exits 2" 2 (defacto [ "check"; "-f"; empty ]);
+  Alcotest.(check bool) "explore rejects an empty kernel" true
+    (defacto [ "explore"; "-f"; empty ] <> 0)
 
 let () =
   Alcotest.run "check"

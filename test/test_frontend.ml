@@ -135,6 +135,24 @@ let test_error_position () =
   Alcotest.(check bool) ("position points to line 2: " ^ msg) true
     (contains msg "2:")
 
+(* A kernel with no statements has nothing to explore: rejected with a
+   position, not parsed into a zero-cycle design. *)
+let test_empty_kernel () =
+  List.iter
+    (fun (src, line) ->
+      let msg = parse_err src in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S rejected at line %d (got %s)" src line msg)
+        true
+        (contains msg "no statements"
+        && contains msg (Printf.sprintf "%d:" line)))
+    [
+      ("", 1);
+      ("  \n/* only a comment */\n", 3);
+      ("int a[4];", 1);
+      ("int a[4];\nunsigned char x, y;\n", 3);
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -154,5 +172,6 @@ let () =
         [
           Alcotest.test_case "diagnostics" `Quick test_errors;
           Alcotest.test_case "positions" `Quick test_error_position;
+          Alcotest.test_case "empty kernel" `Quick test_empty_kernel;
         ] );
     ]

@@ -116,6 +116,62 @@ let test_jam_legal () =
   Alcotest.(check bool) "FIR jam legal" true (Transform.Unroll.jam_legal (fir ()));
   Alcotest.(check bool) "MM jam legal" true (Transform.Unroll.jam_legal (mm ()))
 
+(* b[i][j] = b[i-1][j+1]: distance (1, -1), so jamming i is illegal. *)
+let skewed () =
+  B.kernel "skewed" ~arrays:[ Ast.array_decl "b" [ 9; 9 ] ]
+    [
+      B.loop "i" 1 9
+        [
+          B.loop "j" 0 8
+            [
+              B.store2 "b" (B.var "i") (B.var "j")
+                B.(arr2 "b" (var "i" - B.int 1) (var "j" + B.int 1));
+            ];
+        ];
+    ]
+
+(* [Unroll.effective] remembers the last legality verdict per domain,
+   keyed on the kernel's physical identity. Interleaving a legal and an
+   illegal kernel, on the same and on fresh values and on another
+   domain, must always agree with a direct [jam_legal] run. *)
+let test_jam_legal_memo () =
+  let legal = fir () and illegal = skewed () in
+  Alcotest.(check bool) "skewed jam illegal" false
+    (Transform.Unroll.jam_legal illegal);
+  let fresh (k : Ast.kernel) = { k with Ast.k_name = k.Ast.k_name } in
+  let check label (k : Ast.kernel) =
+    let indices = Loop_nest.spine_indices k.Ast.k_body in
+    let v = List.map (fun i -> (i, 2)) indices in
+    let direct = Transform.Unroll.jam_legal k in
+    let expected =
+      if direct then v else [ (List.nth indices (List.length indices - 1), 2) ]
+    in
+    Alcotest.(check (list (pair string int)))
+      (label ^ ": effective vector") expected
+      (Transform.Unroll.effective k v);
+    let outer_step =
+      match (Transform.Unroll.run v k).Ast.k_body with
+      | Ast.For l :: _ -> l.Ast.step
+      | _ -> 0
+    in
+    Alcotest.(check int) (label ^ ": outer loop jammed") (if direct then 2 else 1)
+      outer_step
+  in
+  let legal' = fresh legal and illegal' = fresh illegal in
+  List.iter
+    (fun (label, k) -> check label k)
+    [
+      ("fir", legal); ("skewed", illegal); ("fir again", legal);
+      ("fresh fir", legal'); ("skewed again", illegal);
+      ("fresh skewed", illegal'); ("fresh fir again", legal');
+      ("fir after fresh", legal); ("skewed after fresh", illegal);
+    ];
+  Domain.join
+    (Domain.spawn (fun () ->
+         check "skewed on another domain" illegal;
+         check "fir on another domain" legal));
+  check "skewed back on this domain" illegal
+
 (* ------------------------------------------------------------------ *)
 (* Peeling *)
 
@@ -391,6 +447,7 @@ let () =
           Alcotest.test_case "full unroll" `Quick test_unroll_full;
           Alcotest.test_case "clamping" `Quick test_unroll_clamp;
           Alcotest.test_case "jam legality" `Quick test_jam_legal;
+          Alcotest.test_case "jam legality memo" `Quick test_jam_legal_memo;
           prop_unroll_preserves_semantics;
         ] );
       ( "peel",
