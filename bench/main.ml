@@ -218,6 +218,56 @@ let json_of_fields fields =
     throwaway directory is used and removed afterwards. *)
 let bench_cache_dir : string option ref = ref None
 
+(** Per-point scalar-replacement time in ms, median of 3 full pipeline
+    runs at [vector]: the span from the unroll-and-jam stage boundary to
+    the scalar-replacement one, read through [Pipeline.apply ?observe]. *)
+let scalar_replace_ms name vector =
+  let k = Option.get (Kernels.find name) in
+  let opts = { Transform.Pipeline.default with Transform.Pipeline.vector } in
+  let once () =
+    let start = ref 0.0 and ms = ref 0.0 in
+    let observe stage ~before:_ ~after:_ =
+      match stage with
+      | Transform.Pipeline.Unroll_jam -> start := Dse.Util.now ()
+      | Transform.Pipeline.Scalar_replace ->
+          ms := 1000.0 *. (Dse.Util.now () -. !start)
+      | _ -> ()
+    in
+    ignore (Transform.Pipeline.apply ~observe opts k);
+    !ms
+  in
+  let runs = List.sort compare (List.init 3 (fun _ -> once ())) in
+  List.nth runs 1
+
+(** Scalar-replacement scaling columns of the long-sweep kernels (jac,
+    sobel; both 30x30 nests): the fully unrolled product-900 point, and
+    the mean of the two product-450 points that halve one loop. A
+    replacement linear in the unrolled body keeps p900 within 2x of
+    p450; the CI gate asserts it. *)
+let scalar_replace_columns name =
+  if not (List.mem name [ "jac"; "sobel" ]) then []
+  else begin
+    let axes = axes_of name in
+    let k = Option.get (Kernels.find name) in
+    let trips =
+      List.map Ir.Ast.loop_trip (Ir.Loop_nest.spine k.Ir.Ast.k_body)
+    in
+    let t_o, t_i =
+      match trips with o :: i :: _ -> (o, i) | _ -> assert false
+    in
+    let point uo ui =
+      scalar_replace_ms name [ (axes.outer, uo); (axes.inner, ui) ]
+    in
+    let p450 = (point (t_o / 2) t_i +. point t_o (t_i / 2)) /. 2.0 in
+    let p900 = point t_o t_i in
+    Printf.printf "#  scalar-replace %-6s p450 %.1f ms, p900 %.1f ms (%.2fx)\n"
+      name p450 p900 (p900 /. p450);
+    [
+      ("scalar_replace_ms_p450", Printf.sprintf "%.3f" p450);
+      ("scalar_replace_ms_p900", Printf.sprintf "%.3f" p900);
+    ]
+  end
+
 (** Per kernel: search wall time and evaluations, selected design, the
     exhaustive-sweep wall time with and without tier-1 pruning on fresh
     contexts (sequential, so the times are comparable), and the batched
@@ -467,7 +517,8 @@ let dse_json () =
             ( "joint_strictly_better",
               if joint_strictly_better then "true" else "false" );
           ]
-          @ List.assoc name session_extra))
+          @ List.assoc name session_extra
+          @ scalar_replace_columns name))
       Kernels.names
   in
   (* At the smoke lattice (unroll product <= 16) the joint winner often

@@ -35,13 +35,24 @@ let pipelined_arg =
   let doc = "Model non-pipelined memory accesses (7-cycle reads, 3-cycle writes)." in
   Arg.(value & flag & info [ "non-pipelined" ] ~doc)
 
+(** An integer that must be at least 1: a zero or negative count is a
+    usage error (exit 124), not a crash or a silently empty run. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let memories_arg =
-  let doc = "Number of external memories." in
-  Arg.(value & opt int 4 & info [ "memories" ] ~docv:"N" ~doc)
+  let doc = "Number of external memories (positive)." in
+  Arg.(value & opt positive_int 4 & info [ "memories" ] ~docv:"N" ~doc)
 
 let capacity_arg =
-  let doc = "Device capacity in slices." in
-  Arg.(value & opt int 12288 & info [ "capacity" ] ~docv:"SLICES" ~doc)
+  let doc = "Device capacity in slices (positive)." in
+  Arg.(value & opt positive_int 12288 & info [ "capacity" ] ~docv:"SLICES" ~doc)
 
 let unroll_arg =
   let doc = "Unroll factor vector, e.g. $(b,j=2,i=4)." in
@@ -413,8 +424,8 @@ let transform_cmd =
 (* space *)
 
 let max_product_arg =
-  let doc = "Skip sweep points whose unroll product exceeds $(docv)." in
-  Arg.(value & opt int 1024 & info [ "max-product" ] ~docv:"P" ~doc)
+  let doc = "Skip sweep points whose unroll product exceeds $(docv) (positive)." in
+  Arg.(value & opt positive_int 1024 & info [ "max-product" ] ~docv:"P" ~doc)
 
 let jobs_arg =
   let doc =

@@ -181,6 +181,10 @@ let choose_shape ~num_memories (decl : Ast.array_decl)
     (use the same [Access.collect] result the scheduler consumes, so the
     access ids agree). *)
 let assign ~num_memories (k : Ast.kernel) (accesses : Access.t list) : t =
+  if num_memories < 1 then
+    invalid_arg
+      (Printf.sprintf "Layout.assign: num_memories = %d, need at least 1"
+         num_memories);
   let arrays =
     List.sort_uniq String.compare
       (List.map (fun (a : Access.t) -> a.Access.array) accesses)

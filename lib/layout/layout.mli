@@ -48,7 +48,7 @@ val choose_shape :
 
 (** Compute the full layout for a kernel given its collected accesses
     (pass the same [Access.collect] result the scheduler consumes so the
-    ids agree). *)
+    ids agree). Raises [Invalid_argument] when [num_memories < 1]. *)
 val assign : num_memories:int -> Ast.kernel -> Access.t list -> t
 
 (** Physical memory of an access (by id from the shared collection). *)

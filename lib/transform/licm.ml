@@ -19,12 +19,15 @@ let scalars_assigned_in body =
     ~expr:(fun acc _ -> acc)
     [] body
 
+(** Distinct arrays stored to: one name per array, not per store, so a
+    membership test stays O(arrays) on a heavily unrolled body. *)
 let arrays_written_in body =
-  Ast.fold_stmts
-    ~stmt:(fun acc s ->
-      match s with Assign (Larr (a, _), _) -> a :: acc | _ -> acc)
-    ~expr:(fun acc _ -> acc)
-    [] body
+  List.sort_uniq String.compare
+    (Ast.fold_stmts
+       ~stmt:(fun acc s ->
+         match s with Assign (Larr (a, _), _) -> a :: acc | _ -> acc)
+       ~expr:(fun acc _ -> acc)
+       [] body)
 
 (** Is [e] invariant in the loop and side-effect free? Indices of loops
     nested inside also vary per iteration, so they count as variant.

@@ -11,5 +11,7 @@
 open Ir
 
 val scalars_assigned_in : Ast.stmt list -> string list
+
+(** Arrays stored to anywhere in the body, each named once. *)
 val arrays_written_in : Ast.stmt list -> string list
 val run : Ast.kernel -> Ast.kernel

@@ -3,14 +3,20 @@
 
 open Ir
 
-type t = { mutable used : (string, unit) Hashtbl.t }
+type t = {
+  used : (string, unit) Hashtbl.t;
+  next : (string, int) Hashtbl.t;
+      (** per base: every suffix below this one is taken. Names are only
+          ever reserved, never released, so the smallest free suffix of
+          a base never decreases and the probe can resume here. *)
+}
 
 let of_kernel (k : Ast.kernel) : t =
   let used = Hashtbl.create 64 in
   List.iter (fun (a : Ast.array_decl) -> Hashtbl.replace used a.a_name ()) k.k_arrays;
   List.iter (fun (s : Ast.scalar_decl) -> Hashtbl.replace used s.s_name ()) k.k_scalars;
   List.iter (fun i -> Hashtbl.replace used i ()) (Ast.bound_indices k.k_body);
-  { used }
+  { used; next = Hashtbl.create 16 }
 
 let reserve t name = Hashtbl.replace t.used name ()
 
@@ -21,10 +27,14 @@ let fresh t base =
     if not (Hashtbl.mem t.used base) then base
     else
       let rec go n =
-        let cand = Printf.sprintf "%s_%d" base n in
-        if Hashtbl.mem t.used cand then go (n + 1) else cand
+        let cand = base ^ "_" ^ string_of_int n in
+        if Hashtbl.mem t.used cand then go (n + 1)
+        else begin
+          Hashtbl.replace t.next base (n + 1);
+          cand
+        end
       in
-      go 0
+      go (Option.value ~default:0 (Hashtbl.find_opt t.next base))
   in
   reserve t name;
   name

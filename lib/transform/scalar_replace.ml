@@ -232,20 +232,19 @@ let may_alias (k : kernel) (p : pattern) (q : pattern) =
 
 type state = {
   mutable kernel : kernel;
+      (** [k_scalars] lags: registers are held in [declared] until [run]
+          returns, and nothing in between reads the scalar list *)
   mutable report : report;
   names : Names.t;
   mutable budget : int;
+  mutable declared : scalar_decl list;  (** introduced registers, newest first *)
 }
 
 let declare st base elem =
   let name = Names.fresh st.names base in
-  st.kernel <-
-    {
-      st.kernel with
-      k_scalars =
-        st.kernel.k_scalars
-        @ [ { s_name = name; s_elem = elem; s_kind = Register; s_span = None } ];
-    };
+  st.declared <-
+    { s_name = name; s_elem = elem; s_kind = Register; s_span = None }
+    :: st.declared;
   name
 
 (* ------------------------------------------------------------------ *)
@@ -522,21 +521,28 @@ let partition_chains (inner : loop) (members : Access.t list) :
   else begin
     (* Insertion scan as in [slow], with the O(1) key test standing in
        for the solver: same residue, and the distance realizable within
-       the trip count (the solver's own admissibility cut). *)
-    let classes : (int list * int * (Access.t * int) list) list ref = ref [] in
+       the trip count (the solver's own admissibility cut). Classes are
+       bucketed by residue, each bucket in creation order, so the first
+       fitting class of the bucket is the one a scan over all classes
+       would pick. *)
+    let by_residue : (int list, (int * (Access.t * int) list ref) list) Hashtbl.t =
+      Hashtbl.create 16
+    in
+    let created = ref [] in
     List.iter
       (fun (a, key) ->
         let residue, idx = Option.get key in
-        let rec insert = function
-          | [] -> [ (residue, idx, [ (a, 0) ]) ]
-          | (res, ridx, cls) :: rest ->
-              if res = residue && abs (ridx - idx) < trip then
-                (res, ridx, (a, ridx - idx) :: cls) :: rest
-              else (res, ridx, cls) :: insert rest
+        let bucket =
+          Option.value ~default:[] (Hashtbl.find_opt by_residue residue)
         in
-        classes := insert !classes)
+        match List.find_opt (fun (ridx, _) -> abs (ridx - idx) < trip) bucket with
+        | Some (ridx, cls) -> cls := (a, ridx - idx) :: !cls
+        | None ->
+            let cls = ref [ (a, 0) ] in
+            Hashtbl.replace by_residue residue (bucket @ [ (idx, cls) ]);
+            created := cls :: !created)
       keyed;
-    let classes = List.map (fun (_, _, cls) -> List.rev cls) !classes in
+    let classes = List.rev_map (fun cls -> List.rev !cls) !created in
     let verified =
       List.for_all
         (fun cls ->
@@ -904,6 +910,7 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
       report = empty_report;
       names = Names.of_kernel k;
       budget = config.max_registers;
+      declared = [];
     }
   in
   (* Each phase wants the pattern facts of the current kernel; a phase
@@ -956,4 +963,5 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
     apply_chain_edits st ed
   end;
   cse_loads st;
-  (st.kernel, st.report)
+  ( { st.kernel with k_scalars = st.kernel.k_scalars @ List.rev st.declared },
+    st.report )

@@ -337,6 +337,26 @@ let test_exit_codes () =
   Alcotest.(check bool) "explore rejects an empty kernel" true
     (defacto [ "explore"; "-f"; empty ] <> 0)
 
+(* Counts that must be positive are usage errors (Cmdliner's 124, as for
+   a non-integer), never a crash (125) or a silent empty run (0). *)
+let test_non_positive_flags () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (String.concat " " args) 124 (defacto args))
+    [
+      [ "explore"; "-k"; "fir"; "--memories=0" ];
+      [ "space"; "-k"; "fir"; "--memories=0" ];
+      [ "estimate"; "-k"; "fir"; "--memories=0" ];
+      [ "vhdl"; "-k"; "fir"; "--memories=0" ];
+      [ "simulate"; "-k"; "fir"; "--memories=0" ];
+      [ "space"; "-k"; "fir"; "--memories=-2" ];
+      [ "explore"; "-k"; "fir"; "--capacity=0" ];
+      [ "space"; "-k"; "fir"; "--max-product=0" ];
+      [ "explore"; "-k"; "fir"; "--memories=abc" ];
+    ];
+  Alcotest.(check int) "--memories=1 runs" 0
+    (defacto [ "estimate"; "-k"; "fir"; "--memories=1" ])
+
 let () =
   Alcotest.run "check"
     [
@@ -364,5 +384,9 @@ let () =
             test_broken_transform_caught;
         ] );
       ( "exit-codes",
-        [ Alcotest.test_case "0/1/2 discipline" `Quick test_exit_codes ] );
+        [
+          Alcotest.test_case "0/1/2 discipline" `Quick test_exit_codes;
+          Alcotest.test_case "non-positive counts exit 124" `Quick
+            test_non_positive_flags;
+        ] );
     ]

@@ -25,6 +25,15 @@ let test_fir_banks_grow_with_unroll () =
   Alcotest.(check bool) "S spread over memories" true (bank "S" > 1);
   Alcotest.(check bool) "D spread over memories" true (bank "D" > 1)
 
+let test_no_memories_rejected () =
+  let k = transformed "fir" [ ("j", 2); ("i", 2) ] in
+  List.iter
+    (fun mems ->
+      match layout_of ~mems k with
+      | _ -> Alcotest.failf "num_memories = %d accepted" mems
+      | exception Invalid_argument _ -> ())
+    [ 0; -2 ]
+
 let test_conflict_structure () =
   (* a[2i] and a[2i+1]: residues 0 and 1 mod 2 -> different banks. *)
   let k =
@@ -146,6 +155,8 @@ let () =
             test_non_uniform_single_memory;
           Alcotest.test_case "2D block-cyclic shape" `Quick test_2d_shape;
           Alcotest.test_case "reads bound first" `Quick test_reads_bound_first;
+          Alcotest.test_case "no memories rejected" `Quick
+            test_no_memories_rejected;
         ] );
       ( "renaming",
         [

@@ -322,6 +322,129 @@ let test_jac_chains () =
   Alcotest.(check bool) "chain spans 3 registers" true
     (List.for_all (fun (_, n) -> n = 3) rep.chain_lengths)
 
+(* Scalar replacement of the unrolled sweep-scale points, pinned to the
+   values recorded before its cost was made linear in the body: any
+   change to class membership, register order or naming fails here.
+   [names] is the declared-register list (count, head, tail, and an MD5
+   of the comma-joined list); [text] is the MD5 of the replaced kernel's
+   printed form, so it also moves if the printer changes. *)
+let stencil3d_src =
+  {|
+  short A[16][16][16];
+  short B[16][16][16];
+  for (i = 1; i < 15; i++)
+    for (j = 1; j < 15; j++)
+      for (k = 1; k < 15; k++)
+        B[i][j][k] = (6*A[i][j][k] + A[i-1][j][k] + A[i+1][j][k]
+          + A[i][j-1][k] + A[i][j+1][k] + A[i][j][k-1] + A[i][j][k+1]) / 16;
+|}
+
+type sr_pin = {
+  registers : int;
+  cse : int;
+  chains : string * int;  (** number of chains, all of this (array, length) *)
+  names : int * string list * string list * string;
+  text : string;
+}
+
+let sr_pins =
+  [
+    ( "jac", [ ("i", 15); ("j", 30) ],
+      { registers = 510; cse = 390; chains = ("A", 60);
+        names = (510, [ "a_h0"; "a_h1"; "a_h0_0"; "a_h1_0" ],
+                 [ "a_s_386"; "a_s_387"; "a_s_388" ],
+                 "10c886e5e4a91edc34ceeb68c7bed5b0");
+        text = "e2ccb8fcdb0dc7d0f4744ae381430e76" } );
+    ( "jac", [ ("i", 30); ("j", 30) ],
+      { registers = 900; cse = 900; chains = ("A", 0);
+        names = (900, [ "a_s"; "a_s_0"; "a_s_1"; "a_s_2" ],
+                 [ "a_s_896"; "a_s_897"; "a_s_898" ],
+                 "28e118bb07677062cf4a0a5af4ef00e5");
+        text = "611e100ec16899732e2a9148b9ead80a" } );
+    ( "sobel", [ ("i", 15); ("j", 30) ],
+      { registers = 544; cse = 416; chains = ("img", 64);
+        names = (544, [ "img_h0"; "img_h1"; "img_h0_0"; "img_h1_0" ],
+                 [ "img_s_412"; "img_s_413"; "img_s_414" ],
+                 "9c3f2d593911379e91dc41c9b803e97b");
+        text = "6b7fb16af0f0c05e3cd90b209d6665b4" } );
+    ( "sobel", [ ("i", 30); ("j", 30) ],
+      { registers = 1024; cse = 1024; chains = ("img", 0);
+        names = (1024, [ "img_s"; "img_s_0"; "img_s_1"; "img_s_2" ],
+                 [ "img_s_1020"; "img_s_1021"; "img_s_1022" ],
+                 "47252df4f38187d7795475af57fe6a1b");
+        text = "0b503c8f2a46a2c93275b45bd2123c1e" } );
+    ( "stencil3d", [ ("i", 7); ("j", 7); ("k", 14) ],
+      { registers = 882; cse = 490; chains = ("A", 196);
+        names = (882, [ "a_h0"; "a_h1"; "a_h0_0"; "a_h1_0" ],
+                 [ "a_s_486"; "a_s_487"; "a_s_488" ],
+                 "e6913517d75f48a06736f2a4bc0e8206");
+        text = "955404967a20c228949f8df00b39c35b" } );
+  ]
+
+let test_scalar_replace_pinned () =
+  List.iter
+    (fun (name, v, pin) ->
+      let k =
+        match Kernels.find name with
+        | Some k -> k
+        | None -> (
+            match Frontend.Parser.kernel_of_string_res ~name stencil3d_src with
+            | Ok k -> k
+            | Error msg -> Alcotest.fail msg)
+      in
+      let what = Printf.sprintf "%s %s" name (Helpers.vector_to_string v) in
+      let u = Transform.Unroll.run v k in
+      let k', (rep : Transform.Scalar_replace.report) =
+        Transform.Scalar_replace.run u
+      in
+      let declared =
+        List.filteri
+          (fun i _ -> i >= List.length u.Ast.k_scalars)
+          (List.map (fun (s : Ast.scalar_decl) -> s.s_name) k'.Ast.k_scalars)
+      in
+      let n = List.length declared in
+      let chain_array, n_chains = pin.chains in
+      let count, head, tail, digest = pin.names in
+      Alcotest.(check int) (what ^ " registers") pin.registers rep.registers;
+      Alcotest.(check int) (what ^ " cse_loads") pin.cse rep.cse_loads;
+      Alcotest.(check (list (pair string int)))
+        (what ^ " chain_lengths")
+        (List.init n_chains (fun _ -> (chain_array, 2)))
+        rep.chain_lengths;
+      Alcotest.(check int) (what ^ " declared count") count n;
+      Alcotest.(check (list string)) (what ^ " declared head") head
+        (List.filteri (fun i _ -> i < List.length head) declared);
+      Alcotest.(check (list string)) (what ^ " declared tail") tail
+        (List.filteri (fun i _ -> i >= n - List.length tail) declared);
+      Alcotest.(check string) (what ^ " declared digest") digest
+        (Digest.to_hex (Digest.string (String.concat "," declared)));
+      Alcotest.(check string) (what ^ " kernel text digest") pin.text
+        (Digest.to_hex (Digest.string (Pretty.kernel_to_string k'))))
+    sr_pins
+
+(* A[i+1] is within the trip count (3) of both classes on its residue —
+   A[i]'s and A[i+3]'s — and joins the one created first: a 2-register
+   chain with A[i], not a 3-register chain with A[i+3]. *)
+let test_chain_first_fitting_class () =
+  let src =
+    {|
+  int A[6];
+  int B[3];
+  for (i = 0; i < 3; i++)
+    B[i] = A[i] + A[i+3] + A[i+1];
+|}
+  in
+  let k =
+    match Frontend.Parser.kernel_of_string_res ~name:"t" src with
+    | Ok k -> k
+    | Error msg -> Alcotest.fail msg
+  in
+  let k', rep = Transform.Scalar_replace.run k in
+  Alcotest.(check (list (pair string int))) "one chain, A[i] with A[i+1]"
+    [ ("A", 2) ] rep.Transform.Scalar_replace.chain_lengths;
+  Helpers.check_equiv ~inputs:(Helpers.inputs_for k) ~reference:k k'
+    "chain semantics"
+
 let test_register_budget () =
   let opts =
     {
@@ -336,6 +459,59 @@ let test_register_budget () =
   Helpers.check_equiv
     ~inputs:(Kernels.test_inputs (fir ()))
     ~reference:(fir ()) r.P.kernel "budget-limited semantics"
+
+(* ------------------------------------------------------------------ *)
+(* Fresh names *)
+
+(* The from-zero probe [Names.fresh] resumes instead of repeating: the
+   reference every interleaving must agree with. *)
+let naive_fresh used base =
+  let name =
+    if not (Hashtbl.mem used base) then base
+    else
+      let rec go n =
+        let cand = Printf.sprintf "%s_%d" base n in
+        if Hashtbl.mem used cand then go (n + 1) else cand
+      in
+      go 0
+  in
+  Hashtbl.replace used name ();
+  name
+
+type names_op = Reserve of string | Fresh of string
+
+let prop_fresh_matches_naive =
+  (* Bases shaped like earlier results ([a] and [a_0]), and reservable
+     names ahead of the probe ([a_2], [a_5]) or on a derived base. *)
+  let bases = [ "a"; "a_0"; "a_1"; "b"; "a_h0" ] in
+  let reservable =
+    bases @ [ "a_2"; "a_5"; "a_0_0"; "a_0_3"; "a_1_0"; "b_1"; "a_h0_1" ]
+  in
+  Helpers.qtest "fresh agrees with the from-zero probe" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 60)
+        (frequency
+           [
+             (1, map (fun n -> Reserve n) (oneofl reservable));
+             (3, map (fun b -> Fresh b) (oneofl bases));
+           ]))
+    (fun ops ->
+      let k =
+        B.kernel "t"
+          ~arrays:[ Ast.array_decl "a" [ 4 ] ]
+          [ B.store1 "a" (B.int 0) (B.int 1) ]
+      in
+      let names = Transform.Names.of_kernel k in
+      let used = Hashtbl.create 16 in
+      Hashtbl.replace used "a" ();
+      List.for_all
+        (function
+          | Reserve n ->
+              Transform.Names.reserve names n;
+              Hashtbl.replace used n ();
+              true
+          | Fresh b -> Transform.Names.fresh names b = naive_fresh used b)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Tiling *)
@@ -466,8 +642,13 @@ let () =
           Alcotest.test_case "FIR figure-1 shape" `Quick test_fir_2x2_shape;
           Alcotest.test_case "MM clean innermost" `Quick test_mm_inner_clean;
           Alcotest.test_case "JAC chains" `Quick test_jac_chains;
+          Alcotest.test_case "sweep-scale output pinned" `Quick
+            test_scalar_replace_pinned;
+          Alcotest.test_case "chain joins first fitting class" `Quick
+            test_chain_first_fitting_class;
           Alcotest.test_case "register budget" `Quick test_register_budget;
         ] );
+      ("names", [ prop_fresh_matches_naive ]);
       ( "tiling",
         [
           Alcotest.test_case "strip-mine" `Quick test_strip_mine;
