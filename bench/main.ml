@@ -159,9 +159,6 @@ let fraction () =
   let total = ref 0 and totsp = ref 0 in
   let evals = ref 0 and hits = ref 0 and pruned = ref 0 in
   let smhits = ref 0 in
-  (* One pool of worker domains for all twenty sweeps: the domain-spawn
-     cost is paid once per artifact, not once per sweep. *)
-  Engine.Pool.with_pool (Space.default_jobs ()) @@ fun pool ->
   List.iter
     (fun pipelined ->
       List.iter
@@ -172,9 +169,7 @@ let fraction () =
           (* The sweep oracle itself runs two-tier: tier-1 bounds prune
              points that provably cannot beat the best fitting design,
              without changing which design that is. *)
-          let sp =
-            Space.sweep ~max_product:(sweep_product ()) ~prune:true ~pool c
-          in
+          let sp = Space.sweep ~max_product:(sweep_product ()) ~prune:true c in
           evals := !evals + c.Design.stats.Design.evaluations;
           hits := !hits + c.Design.stats.Design.cache_hits;
           pruned := !pruned + sp.Space.pruned;
@@ -298,9 +293,9 @@ let dse_json () =
       Kernels.names
   in
   let cold_session =
-    Dse.Driver.run_many ~cache_dir:session_dir ~cold:true ~jobs:1 tasks
+    Dse.Driver.run_many ~cache_dir:session_dir ~cold:true tasks
   in
-  let warm_session = Dse.Driver.run_many ~cache_dir:session_dir ~jobs:1 tasks in
+  let warm_session = Dse.Driver.run_many ~cache_dir:session_dir tasks in
   if transient then ignore (Engine.Persist.clear ~cache_dir:session_dir);
   let session_extra =
     List.map2

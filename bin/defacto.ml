@@ -221,26 +221,18 @@ let parse_tile_candidates = function
 let print_joint_counters (j : Dse.Space.joint) =
   Format.printf
     "# joint space: %d config(s) enumerated, %d illegal, %d redundant, %d \
-     bound-pruned, %d evaluated%s@."
+     bound-pruned, %d evaluated@."
     j.Dse.Space.space_size j.Dse.Space.pruned_illegal
     j.Dse.Space.pruned_redundant j.Dse.Space.pruned_bound
     (List.length j.Dse.Space.points)
-    (if j.Dse.Space.truncated then " (budget exhausted)" else "")
 
 let explore_kernels_arg =
   let doc =
     "Built-in kernel name (fir, mm, pat, jac, sobel). Repeatable: several \
      $(b,-k) flags run one batched session over all of them, sharing the \
-     tri-schedule memo, the worker domains and the persistent store."
+     tri-schedule memo and the persistent store."
   in
   Arg.(value & opt_all string [] & info [ "k"; "kernel" ] ~docv:"NAME" ~doc)
-
-let explore_jobs_arg =
-  let doc =
-    "Size of the session's worker-domain pool (1 disables parallel \
-     sweeps; the default scales with the host's cores)."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let load_tasks kernels file : Engine.task list =
   match (kernels, file) with
@@ -265,7 +257,7 @@ let load_tasks kernels file : Engine.task list =
       named @ from_file
 
 let explore kernels file non_pipelined memories capacity report prof verify
-    cache_dir cold backend_name jobs joint tile_candidates =
+    cache_dir cold backend_name joint tile_candidates =
   let tile_candidates = parse_tile_candidates tile_candidates in
   let tasks = load_tasks kernels file in
   let profile = make_profile ~non_pipelined ~memories in
@@ -296,7 +288,7 @@ let explore kernels file non_pipelined memories capacity report prof verify
   | None -> ());
   let summary =
     Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~capacity ~backend
-      ?jobs tasks
+      tasks
   in
   List.iter
     (fun (o : Dse.Driver.outcome) ->
@@ -380,7 +372,7 @@ let explore_cmd =
     Term.(
       const explore $ explore_kernels_arg $ file_arg $ pipelined_arg
       $ memories_arg $ capacity_arg $ report_arg $ profile_arg $ verify_arg
-      $ cache_dir_arg $ cold_arg $ backend_arg $ explore_jobs_arg $ joint_arg
+      $ cache_dir_arg $ cold_arg $ backend_arg $ joint_arg
       $ tile_candidates_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -429,10 +421,10 @@ let max_product_arg =
 
 let jobs_arg =
   let doc =
-    "Evaluate the sweep on $(docv) parallel domains (1 forces the \
-     sequential path; the default scales with the host's cores)."
+    "Evaluate the sweep on $(docv) parallel domains (positive; 1 forces \
+     the sequential path; the default scales with the host's cores)."
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let prune_arg =
   let doc =

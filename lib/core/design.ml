@@ -124,11 +124,14 @@ let env (ctx : context) : Engine.Backend.env =
     verify = ctx.verify;
   }
 
-(** A context over an engine-built environment and an existing (possibly
-    warm-loaded) store — how the session driver hands evaluation state
-    to the search. *)
-let of_env ?(backend = Engine.Backend.default) ~(store : Engine.Store.t)
-    (env : Engine.Backend.env) : context =
+let context ?pipeline ?profile ?verify ?capacity
+    ?(backend = Engine.Backend.default) ?store (source : Ast.kernel) =
+  let store =
+    match store with Some s -> s | None -> Engine.Store.create ()
+  in
+  let env =
+    Engine.Backend.make_env ?pipeline ?profile ?verify ?capacity source
+  in
   {
     source = env.Engine.Backend.source;
     profile = env.Engine.Backend.profile;
@@ -142,14 +145,6 @@ let of_env ?(backend = Engine.Backend.default) ~(store : Engine.Store.t)
     verify = env.Engine.Backend.verify;
     stats = store.Engine.Store.stats;
   }
-
-let context ?pipeline ?profile ?verify ?capacity ?backend ?store
-    (source : Ast.kernel) =
-  let store =
-    match store with Some s -> s | None -> Engine.Store.create ()
-  in
-  of_env ?backend ~store
-    (Engine.Backend.make_env ?pipeline ?profile ?verify ?capacity source)
 
 let normalize_vector (ctx : context) (v : (string * int) list) :
     (string * int) list =
@@ -241,8 +236,6 @@ let cache_size (ctx : context) = Engine.Store.size ctx.store
 
 (** Distinct block shapes whose tri-schedule is memoized. *)
 let sched_memo_size (ctx : context) = Engine.Store.sched_memo_size ctx.store
-
-let reset_stats (ctx : context) = Engine.Store.reset_stats ctx.stats
 
 (** Immutable copy of the context's counters (for before/after deltas). *)
 let stats_snapshot (ctx : context) : stats = Engine.Store.stats_copy ctx.stats

@@ -127,11 +127,6 @@ val context :
     quick-facts suspension). *)
 val env : context -> Engine.Backend.env
 
-(** A context over an engine-built environment and an existing store —
-    how the session driver hands evaluation state to the search. *)
-val of_env :
-  ?backend:Engine.Backend.t -> store:Engine.Store.t -> Engine.Backend.env -> context
-
 (** Cover every spine loop and clamp factors to divisors of the trip
     counts — the space the search explores (a non-divisor factor leaves
     an epilogue that defeats scalar replacement). *)
@@ -202,8 +197,6 @@ val cache_size : context -> int
 
 (** Number of distinct block shapes whose tri-schedule is memoized. *)
 val sched_memo_size : context -> int
-
-val reset_stats : context -> unit
 
 (** Immutable copy of the context's counters (for before/after deltas). *)
 val stats_snapshot : context -> stats

@@ -1,8 +1,8 @@
-(** The search-specialized session driver: {!Engine.run_many} with the
-    Figure-2 exploration as the per-kernel work. One call explores a
-    batch of kernels over one shared tri-schedule memo, one worker-domain
-    pool and (optionally) one persistent cache directory; a warm second
-    run performs zero full syntheses and selects bit-identical designs. *)
+(** The batched session driver: the Figure-2 search over several
+    kernels. One call explores a batch of kernels over one shared
+    tri-schedule memo and (optionally) one persistent cache directory; a
+    warm second run performs zero full syntheses and selects
+    bit-identical designs. *)
 
 type outcome = {
   task : Engine.task;
@@ -28,11 +28,11 @@ type summary = {
 (** Cycles of the baseline over cycles of the selected design. *)
 val speedup : outcome -> float
 
-(** Explore each kernel in order. With [cache_dir], stores are
-    warm-loaded before and saved after ([cold] skips the loads);
-    selections are bit-identical cold and warm, batched and sequential.
-    [pool]/[jobs] control the worker domains shared by all sweeps of the
-    session (see {!Engine.run_many}). *)
+(** Explore each kernel in order. With [cache_dir], the shared memo and
+    each kernel's point cache are warm-loaded before and saved (merged
+    with the directory's prior contents) after; [cold] skips the loads
+    but still saves. Selections are bit-identical cold and warm, batched
+    and sequential. *)
 val run_many :
   ?cache_dir:string ->
   ?cold:bool ->
@@ -41,8 +41,6 @@ val run_many :
   ?verify:bool ->
   ?capacity:int ->
   ?backend:Engine.Backend.t ->
-  ?pool:Engine.Pool.t ->
-  ?jobs:int ->
   ?search_config:Search.config ->
   Engine.task list ->
   summary

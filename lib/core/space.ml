@@ -19,11 +19,11 @@
     ({!Design.quick}) are computed for the whole lattice first, points
     are visited in ascending lower-bound order, and a point is skipped —
     never generated, never estimated — when its bounds prove it cannot
-    fit the device or cannot come within [prune_slack] of the best
-    fitting design seen so far. Pruning is admissible: skipped points
-    can be neither {!best_fitting} nor {!smallest_comparable} (at the
-    default matching slack), so both selections are unchanged; only the
-    set of evaluated points shrinks. *)
+    fit the device or cannot come within 5% of the best fitting design
+    seen so far. Pruning is admissible: skipped points can be neither
+    {!best_fitting} nor {!smallest_comparable} (at slacks up to its 5%
+    default), so both selections are unchanged; only the set of
+    evaluated points shrinks. *)
 
 open Ir
 
@@ -48,79 +48,68 @@ let divisor_vectors ?max_product (ctx : Design.context)
     ~(eligible : string list) : (string * int) list list =
   Util.divisor_vectors ?max_product ctx ~eligible
 
-(* Run one worker thunk per fork: on the caller's own spawned domains,
-   or on a shared {!Engine.Pool} when the session provides one (the
-   multi-kernel driver runs many sweeps; reusing its pool keeps the
-   domain-spawn cost per session instead of per sweep). Either way the
-   call returns only when every worker has drained the cursor. *)
-let run_workers ?pool (workers : (unit -> unit) array) =
-  match pool with
-  | Some p -> Engine.Pool.run p (Array.to_list workers)
-  | None ->
-      let domains = Array.map Domain.spawn workers in
-      Array.iter Domain.join domains
-
-(* Evaluate [vectors] on [jobs] workers. Work is handed out in chunks
-   from an atomic cursor; each worker writes its results at the vectors'
-   original indices, so the merged order matches the sequential order.
-   Every worker gets a {!Design.fork} seeded with the current cache, and
-   the forks are absorbed back after the join. *)
-let evaluate_parallel ?pool ~jobs (ctx : Design.context) (vectors : (string * int) list array) :
-    sweep_point array =
-  let n = Array.length vectors in
-  let results : sweep_point option array = Array.make n None in
-  let cursor = Atomic.make 0 in
-  let chunk = max 1 (n / (jobs * 8)) in
-  let forks = Array.init jobs (fun _ -> Design.fork ctx) in
-  let worker (fork : Design.context) () =
-    let rec loop () =
-      let start = Atomic.fetch_and_add cursor chunk in
-      if start < n then begin
-        for i = start to min (start + chunk) n - 1 do
-          let v = vectors.(i) in
-          results.(i) <- Some { vector = v; point = Design.evaluate fork v }
-        done;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  run_workers ?pool (Array.map worker forks);
-  Array.iter (fun fork -> Design.absorb ~into:ctx fork) forks;
-  Array.map (function Some sp -> sp | None -> assert false) results
+(* The loops the saturation analysis considers: the sweeps' default
+   [eligible]. *)
+let saturation_eligible (ctx : Design.context) : string list =
+  (Saturation.compute ~pipeline:ctx.Design.pipeline
+     ~num_memories:ctx.Design.profile.Hls.Estimate.device.Hls.Device.num_memories
+     ctx.Design.source)
+    .Saturation.eligible
 
 (** Number of domains a sweep uses when [jobs] is not given. *)
 let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count () - 1))
 
-(* Two-tier sweep over [vecs] whose tier-1 bounds [q] are already known.
-   Points are visited in ascending lower-bound order so cheap designs
-   establish the incumbent early; results land at their original lattice
-   indices, so the surviving points come out in lattice order. The
-   incumbent only ever holds the true cycle count of a fitting evaluated
-   point, so a skip is justified no matter when it is read — with
-   several domains the *set* of pruned points may vary between runs
-   (a slower domain may evaluate a point a faster run would skip), but
-   the selected designs never do. With one job (or too few points to
-   share) the same loop runs inline on [ctx]. *)
-let evaluate_pruned ?pool ~jobs ~prune_slack (ctx : Design.context)
-    (vecs : (string * int) list array) (q : Hls.Quick.t array) :
-    sweep_point option array =
+(* Slack of {!smallest_comparable}'s default criterion, and the slack the
+   pruned sweep keeps above its incumbent: a point it skips cannot be
+   within this slack of the best fitting design, so neither selection
+   changes. *)
+let comparable_slack = 0.05
+
+(* The sweep's one evaluation loop. Without tier-1 bounds the worker
+   visits [vecs] in lattice order and evaluates every point. With bounds
+   [q] it visits in ascending lower-bound order, so cheap designs
+   establish the incumbent early, and skips a point whose bounds prove it
+   cannot fit the device or come within [comparable_slack] of the best
+   fitting design evaluated so far. The incumbent only ever holds the
+   true cycle count of a fitting evaluated point, so a skip is justified
+   no matter when it is read — with several domains the *set* of pruned
+   points may vary between runs (a slower domain may evaluate a point a
+   faster run would skip), but the selected designs never do.
+
+   Work is handed out in chunks from an atomic cursor and every result
+   lands at its lattice index, so the surviving points come out in
+   lattice order whatever [jobs] is. With one job (or too few points to
+   share) the worker runs inline on [ctx]; otherwise each of [jobs]
+   spawned domains evaluates against its own {!Design.fork}, and the
+   forks' caches and counters are absorbed back after the join. *)
+let evaluate ~jobs (ctx : Design.context) (vecs : (string * int) list array)
+    (bounds : Hls.Quick.t array option) : sweep_point option array =
   let n = Array.length vecs in
-  let limit inc =
-    if inc = max_int then max_int
-    else int_of_float (Float.ceil (float_of_int inc *. (1.0 +. prune_slack)))
-  in
   let results : sweep_point option array = Array.make n None in
   let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      compare (q.(a).Hls.Quick.cycles_lb, a) (q.(b).Hls.Quick.cycles_lb, b))
-    order;
+  Option.iter
+    (fun q ->
+      Array.sort
+        (fun a b ->
+          compare (q.(a).Hls.Quick.cycles_lb, a) (q.(b).Hls.Quick.cycles_lb, b))
+        order)
+    bounds;
   let incumbent = Atomic.make max_int in
   let rec lower_incumbent c =
     let cur = Atomic.get incumbent in
     if c < cur && not (Atomic.compare_and_set incumbent cur c) then
       lower_incumbent c
+  in
+  let limit inc =
+    if inc = max_int then max_int
+    else int_of_float (Float.ceil (float_of_int inc *. (1.0 +. comparable_slack)))
+  in
+  let skip i =
+    match bounds with
+    | None -> false
+    | Some q ->
+        q.(i).Hls.Quick.slices_lb > ctx.Design.capacity
+        || q.(i).Hls.Quick.cycles_lb > limit (Atomic.get incumbent)
   in
   let cursor = Atomic.make 0 in
   let chunk = max 1 (n / (jobs * 8)) in
@@ -130,11 +119,7 @@ let evaluate_pruned ?pool ~jobs ~prune_slack (ctx : Design.context)
       if start < n then begin
         for k = start to min (start + chunk) n - 1 do
           let i = order.(k) in
-          let qi = q.(i) in
-          if
-            qi.Hls.Quick.slices_lb > ctx.Design.capacity
-            || qi.Hls.Quick.cycles_lb > limit (Atomic.get incumbent)
-          then Design.note_pruned fork
+          if skip i then Design.note_pruned fork
           else begin
             let p = Design.evaluate fork vecs.(i) in
             results.(i) <- Some { vector = vecs.(i); point = p };
@@ -150,56 +135,30 @@ let evaluate_pruned ?pool ~jobs ~prune_slack (ctx : Design.context)
   if jobs <= 1 || n < 2 * jobs then worker ctx ()
   else begin
     let forks = Array.init jobs (fun _ -> Design.fork ctx) in
-    run_workers ?pool (Array.map worker forks);
+    let domains = Array.map (fun fork -> Domain.spawn (worker fork)) forks in
+    Array.iter Domain.join domains;
     Array.iter (fun fork -> Design.absorb ~into:ctx fork) forks
   end;
   results
 
-let sweep ?eligible ?(max_product = max_int) ?(prune = false)
-    ?(prune_slack = 0.05) ?jobs ?pool (ctx : Design.context) : t =
-  let sat =
-    lazy
-      (Saturation.compute ~pipeline:ctx.Design.pipeline
-         ~num_memories:ctx.Design.profile.Hls.Estimate.device.Hls.Device.num_memories
-         ctx.Design.source)
-  in
+let sweep ?eligible ?(max_product = max_int) ?(prune = false) ?jobs
+    (ctx : Design.context) : t =
   let eligible =
-    match eligible with
-    | Some e -> e
-    | None -> (Lazy.force sat).Saturation.eligible
+    match eligible with Some e -> e | None -> saturation_eligible ctx
   in
-  let vectors = divisor_vectors ~max_product ctx ~eligible in
-  let jobs =
-    match (jobs, pool) with
-    | Some j, _ -> max 1 j
-    | None, Some p -> Engine.Pool.size p
-    | None, None -> default_jobs ()
-  in
+  let vecs = Array.of_list (divisor_vectors ~max_product ctx ~eligible) in
+  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   (* Tier-1 bounds for the whole lattice; unavailable (tiling) means the
      sweep silently falls back to exhaustive evaluation. *)
-  let quicks =
+  let bounds =
     if not prune then None
     else
-      let qs = List.map (fun v -> Design.quick ctx v) vectors in
-      if List.exists Option.is_none qs then None
-      else Some (Array.of_list (List.map Option.get qs))
+      let qs = Array.map (Design.quick ctx) vecs in
+      if Array.exists Option.is_none qs then None
+      else Some (Array.map Option.get qs)
   in
-  let points, pruned =
-    match quicks with
-    | Some q ->
-        let vecs = Array.of_list vectors in
-        let results = evaluate_pruned ?pool ~jobs ~prune_slack ctx vecs q in
-        let pts = List.filter_map (fun x -> x) (Array.to_list results) in
-        (pts, Array.length vecs - List.length pts)
-    | None ->
-        let pts =
-          if jobs <= 1 || List.length vectors < 2 * jobs then
-            List.map (fun v -> { vector = v; point = Design.evaluate ctx v }) vectors
-          else
-            Array.to_list
-              (evaluate_parallel ?pool ~jobs ctx (Array.of_list vectors))
-        in
-        (pts, 0)
+  let points =
+    List.filter_map (fun x -> x) (Array.to_list (evaluate ~jobs ctx vecs bounds))
   in
   let total_designs =
     List.fold_left
@@ -207,7 +166,7 @@ let sweep ?eligible ?(max_product = max_int) ?(prune = false)
         if List.mem l.index eligible then acc * Ast.loop_trip l else acc)
       1 ctx.Design.spine
   in
-  { points; pruned; total_designs }
+  { points; pruned = Array.length vecs - List.length points; total_designs }
 
 (** Best-performing design in the space that fits the device. *)
 let best_fitting (ctx : Design.context) (t : t) : sweep_point option =
@@ -225,7 +184,7 @@ let best_fitting (ctx : Design.context) (t : t) : sweep_point option =
 
 (** Smallest design whose performance is within [slack] (e.g. 0.05) of
     the best fitting design — the paper's third optimization criterion. *)
-let smallest_comparable ?(slack = 0.05) (ctx : Design.context) (t : t) :
+let smallest_comparable ?(slack = comparable_slack) (ctx : Design.context) (t : t) :
     sweep_point option =
   match best_fitting ctx t with
   | None -> None
@@ -273,7 +232,6 @@ type joint = {
       (** dropped as another spelling of a configuration already
           enumerated (canonicalization + dedupe) *)
   pruned_bound : int;  (** skipped on tier-1 lower bounds *)
-  truncated : bool;  (** the evaluation [budget] ran out *)
   total_designs : int;
       (** paper-style accounting over the joint space: all integer
           unroll factors x tile options x toggles *)
@@ -323,16 +281,9 @@ let toggle_combos (ctx : Design.context) : (bool * bool * bool) list =
 
 let sweep_joint ?eligible ?(max_product = max_int)
     ?(tile_candidates = default_tile_candidates) ?(exhaustive_below = 64)
-    ?budget (ctx : Design.context) : joint =
+    (ctx : Design.context) : joint =
   let eligible =
-    match eligible with
-    | Some e -> e
-    | None ->
-        (Saturation.compute ~pipeline:ctx.Design.pipeline
-           ~num_memories:
-             ctx.Design.profile.Hls.Estimate.device.Hls.Device.num_memories
-           ctx.Design.source)
-          .Saturation.eligible
+    match eligible with Some e -> e | None -> saturation_eligible ctx
   in
   let vectors = divisor_vectors ~max_product ctx ~eligible in
   let tiles = joint_tile_options ctx ~candidates:tile_candidates in
@@ -398,8 +349,7 @@ let sweep_joint ?eligible ?(max_product = max_int)
   end;
   let results : joint_point option array = Array.make n None in
   let incumbent = ref max_int in
-  let bound_pruned = ref 0 and evaluated = ref 0 in
-  let truncated = ref false in
+  let bound_pruned = ref 0 in
   Array.iter
     (fun i ->
       let c = survivors.(i) in
@@ -414,15 +364,12 @@ let sweep_joint ?eligible ?(max_product = max_int)
         incr bound_pruned;
         Design.note_pruned ctx
       end
-      else
-        match budget with
-        | Some b when !evaluated >= b -> truncated := true
-        | _ ->
-            incr evaluated;
-            let p = Design.evaluate_config ctx c in
-            results.(i) <- Some { config = c; point = p };
-            if Design.space p <= ctx.Design.capacity then
-              incumbent := min !incumbent (Design.cycles p))
+      else begin
+        let p = Design.evaluate_config ctx c in
+        results.(i) <- Some { config = c; point = p };
+        if Design.space p <= ctx.Design.capacity then
+          incumbent := min !incumbent (Design.cycles p)
+      end)
     order;
   let st = ctx.Design.stats in
   st.Design.joint_configs <- st.Design.joint_configs + !enumerated;
@@ -442,7 +389,6 @@ let sweep_joint ?eligible ?(max_product = max_int)
     pruned_illegal = !ill;
     pruned_redundant = !red;
     pruned_bound = !bound_pruned;
-    truncated = !truncated;
     total_designs;
   }
 

@@ -33,35 +33,30 @@ val default_jobs : unit -> int
 
 (** Evaluate the whole lattice. [eligible] defaults to the saturation
     analysis's loops; [max_product] skips points with larger unroll
-    products; [jobs] is the number of evaluating domains ([jobs <= 1]
-    forces the sequential path; the default is {!default_jobs}).
+    products; [jobs] is the number of evaluating domains (default
+    {!default_jobs}). The sweep spawns and joins its own domains, each
+    evaluating against a {!Design.fork} absorbed back after the join;
+    with [jobs <= 1], or fewer than two points per domain, it runs
+    inline on the context. The result is the same for every [jobs].
 
     [prune] (default [false]) switches the sweep to two-tier: tier-1
     lower bounds ({!Design.quick}) are computed for the whole lattice
     first, points are visited in ascending lower-bound order, and a
     point is skipped without synthesis when its bounds prove it cannot
-    fit the device or cannot come within [prune_slack] (default 0.05,
-    matching {!smallest_comparable}) of the best fitting design found
-    so far. Admissible: {!best_fitting} and {!smallest_comparable} (at
-    slacks up to [prune_slack]) select the same designs as the
-    exhaustive sweep; only [points] shrinks — skipped points are
-    counted in [pruned] and in [Design.stats.pruned]. With [jobs > 1]
-    the pruned *set* may vary between runs (domain timing decides
-    which points see the incumbent early), the selections never do.
-    When tier 1 does not apply (tiling pipelines) the sweep silently
-    falls back to exhaustive evaluation.
-
-    [pool] runs the workers on a shared {!Engine.Pool} instead of
-    spawning fresh domains — the multi-kernel session passes its pool so
-    the domain-spawn cost is paid once per session, not once per sweep.
-    With a pool, [jobs] defaults to the pool's size. *)
+    fit the device or cannot come within 5% (the default slack of
+    {!smallest_comparable}) of the best fitting design found so far.
+    Admissible: {!best_fitting} and {!smallest_comparable} (at slacks up
+    to 5%) select the same designs as the exhaustive sweep; only
+    [points] shrinks — skipped points are counted in [pruned] and in
+    [Design.stats.pruned]. With [jobs > 1] the pruned *set* may vary
+    between runs (domain timing decides which points see the incumbent
+    early), the selections never do. When tier 1 does not apply (tiling
+    pipelines) the sweep silently falls back to exhaustive evaluation. *)
 val sweep :
   ?eligible:string list ->
   ?max_product:int ->
   ?prune:bool ->
-  ?prune_slack:float ->
   ?jobs:int ->
-  ?pool:Engine.Pool.t ->
   Design.context ->
   t
 
@@ -95,7 +90,6 @@ type joint = {
       (** dropped as another spelling of a configuration already
           enumerated (canonicalization + dedupe) *)
   pruned_bound : int;  (** skipped on tier-1 lower bounds *)
-  truncated : bool;  (** the evaluation [budget] ran out *)
   total_designs : int;
       (** paper-style accounting over the joint space: all integer
           unroll factors x tile options x toggles *)
@@ -120,15 +114,13 @@ val joint_tile_options :
     sweep turns best-first — ascending tier-1 cycle bounds, skipping
     configurations whose bounds prove they cannot beat the incumbent or
     fit the device (admissible: the selection matches the exhaustive
-    sweep's). [budget] caps the number of full evaluations ([truncated]
-    reports hitting it). Sequential; counters land in the context's
-    [joint_*] stats. *)
+    sweep's). Sequential; counters land in the context's [joint_*]
+    stats. *)
 val sweep_joint :
   ?eligible:string list ->
   ?max_product:int ->
   ?tile_candidates:int list ->
   ?exhaustive_below:int ->
-  ?budget:int ->
   Design.context ->
   joint
 

@@ -2,22 +2,24 @@
     evaluated anywhere in the system.
 
     {v
-        Session   batched multi-kernel driver (run_many)
-           |
         Backend   fidelity levels as values: full, lowlevel,
            |      quick_gate composition (two-tier engine)
          Store    point cache + tri-schedule memo + counters,
-           |      fork/absorb for domains, save/load via Persist
+           |      fork/absorb for domains
+        Persist   config-hash-addressed on-disk form of a store
+           |
           Hls     scheduling, estimation, P&R degradation
     v}
 
-    [Dse] (the search and the sweep) sits on top and never calls the
-    estimator directly: every evaluation goes [Backend.evaluate] →
-    [Store] → synthesis on miss. *)
+    [Dse] (the search, the sweep and the batched session driver
+    [Dse.Driver]) sits on top and never calls the estimator directly:
+    every evaluation goes [Backend.evaluate] → [Store] → synthesis on
+    miss. *)
 
 module Util = Util
 module Store = Store
 module Backend = Backend
 module Persist = Persist
-module Pool = Pool
-include Session
+
+(** One kernel of a batched session ([Dse.Driver.run_many]). *)
+type task = { name : string; kernel : Ir.Ast.kernel }

@@ -178,8 +178,7 @@ let write_payload file ~config v =
 type points_payload = (Store.config * Store.point) array
 
 (** Merge the kernel's persisted points into [store] (entries already in
-    the store win). Returns how many points were loaded; also recorded
-    in [store.loaded_points]. *)
+    the store win). Returns how many points were loaded. *)
 let load_points ~cache_dir ~config ~kernel_key (store : Store.t) : int =
   let dir = config_dir ~cache_dir ~config in
   match
@@ -195,7 +194,6 @@ let load_points ~cache_dir ~config ~kernel_key (store : Store.t) : int =
             incr n
           end)
         entries;
-      store.Store.loaded_points <- store.Store.loaded_points + !n;
       !n
 
 (** Write the kernel's point cache, merged with whatever an earlier run

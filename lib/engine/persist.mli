@@ -40,9 +40,8 @@ val config_key :
 val kernel_key : Ir.Ast.kernel -> string
 
 (** Merge the persisted points for a kernel into the store (entries
-    already present win). Returns the number of points loaded, also
-    accumulated into [store.loaded_points]. Missing or invalid files
-    load zero points. *)
+    already present win). Returns the number of points loaded. Missing
+    or invalid files load zero points. *)
 val load_points :
   cache_dir:string -> config:string -> kernel_key:string -> Store.t -> int
 

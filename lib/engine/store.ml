@@ -115,27 +115,6 @@ let fresh_stats () =
     joint_pruned_bound = 0;
   }
 
-let reset_stats (s : stats) =
-  s.evaluations <- 0;
-  s.cache_hits <- 0;
-  s.quick_estimates <- 0;
-  s.pruned <- 0;
-  s.transform_seconds <- 0.0;
-  s.estimate_seconds <- 0.0;
-  s.dfg_seconds <- 0.0;
-  s.schedule_seconds <- 0.0;
-  s.layout_seconds <- 0.0;
-  s.sched_memo_hits <- 0;
-  s.checked_points <- 0;
-  s.verify_violations <- 0;
-  s.flow_builds <- 0;
-  s.flow_solves <- 0;
-  s.flow_seconds <- 0.0;
-  s.joint_configs <- 0;
-  s.joint_pruned_illegal <- 0;
-  s.joint_pruned_redundant <- 0;
-  s.joint_pruned_bound <- 0
-
 let stats_copy (s : stats) : stats =
   {
     evaluations = s.evaluations;
@@ -221,8 +200,6 @@ type t = {
           stores (fingerprints are kernel-agnostic), so one kernel's
           block shapes warm another's *)
   stats : stats;
-  mutable loaded_points : int;
-      (** points warm-loaded from a persistent store at creation *)
 }
 
 let create ?sched_memo () : t =
@@ -233,7 +210,6 @@ let create ?sched_memo () : t =
       | Some m -> m
       | None -> Hls.Schedule.memo_create ());
     stats = fresh_stats ();
-    loaded_points = 0;
   }
 
 let find (t : t) key = Hashtbl.find_opt t.points key
@@ -251,7 +227,6 @@ let fork (t : t) : t =
     points = Hashtbl.copy t.points;
     sched_memo = Hls.Schedule.memo_copy t.sched_memo;
     stats = fresh_stats ();
-    loaded_points = 0;
   }
 
 (** Merge a fork's cache entries, tri-schedule memo and counters back

@@ -73,7 +73,6 @@ type stats = {
 }
 
 val fresh_stats : unit -> stats
-val reset_stats : stats -> unit
 
 (** Immutable copy (for before/after deltas). *)
 val stats_copy : stats -> stats
@@ -90,8 +89,6 @@ type t = {
       (** fingerprint-keyed tri-schedule table; physically shared
           between the kernels of a session *)
   stats : stats;
-  mutable loaded_points : int;
-      (** points warm-loaded from a persistent store at creation *)
 }
 
 (** A fresh, empty store. Pass [sched_memo] to share one tri-schedule

@@ -352,6 +352,8 @@ let test_non_positive_flags () =
       [ "space"; "-k"; "fir"; "--memories=-2" ];
       [ "explore"; "-k"; "fir"; "--capacity=0" ];
       [ "space"; "-k"; "fir"; "--max-product=0" ];
+      [ "space"; "-k"; "fir"; "-j"; "0" ];
+      [ "space"; "-k"; "fir"; "--jobs=-3" ];
       [ "explore"; "-k"; "fir"; "--memories=abc" ];
     ];
   Alcotest.(check int) "--memories=1 runs" 0

@@ -2,7 +2,7 @@
     estimates field-for-field equal to cold, zero syntheses), cache-key
     invalidation, corruption tolerance, backend-composition equivalence
     (the tier-1 gate never changes a selection), multi-kernel sessions
-    selecting identically to sequential runs, pool-backed sweeps, and
+    selecting identically to sequential runs, parallel sweep stats, and
     the end-to-end cold/warm CLI acceptance run over the paper's five
     kernels. *)
 
@@ -234,7 +234,7 @@ let tasks names =
    searches select, kernel for kernel. *)
 let test_session_matches_sequential () =
   let names = [ "fir"; "mm"; "jac"; "pat"; "sobel" ] in
-  let summary = Dse.Driver.run_many ~profile ~jobs:1 (tasks names) in
+  let summary = Dse.Driver.run_many ~profile (tasks names) in
   List.iter2
     (fun name (o : Dse.Driver.outcome) ->
       let solo = Search.run (Design.context ~profile (kernel name)) in
@@ -250,8 +250,8 @@ let test_session_matches_sequential () =
 let test_session_warm () =
   let names = [ "fir"; "mm" ] in
   let dir = fresh_dir () in
-  let cold = Dse.Driver.run_many ~cache_dir:dir ~jobs:1 ~profile (tasks names) in
-  let warm = Dse.Driver.run_many ~cache_dir:dir ~jobs:1 ~profile (tasks names) in
+  let cold = Dse.Driver.run_many ~cache_dir:dir ~profile (tasks names) in
+  let warm = Dse.Driver.run_many ~cache_dir:dir ~profile (tasks names) in
   rm_store dir;
   Alcotest.(check bool)
     "cold session synthesized" true
@@ -286,7 +286,7 @@ let test_session_shares_memo () =
       { Engine.name = "b"; kernel = kernel "fir" };
     ]
   in
-  let summary = Dse.Driver.run_many ~profile ~jobs:1 ts in
+  let summary = Dse.Driver.run_many ~profile ts in
   match summary.Dse.Driver.outcomes with
   | [ first; second ] ->
       Alcotest.(check bool)
@@ -296,7 +296,7 @@ let test_session_shares_memo () =
   | _ -> Alcotest.fail "expected two outcomes"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel sweeps: stats determinism and pool reuse *)
+(* Parallel sweeps: stats determinism *)
 
 let test_sweep_stats_deterministic () =
   let k = kernel "mm" in
@@ -317,36 +317,6 @@ let test_sweep_stats_deterministic () =
     (List.length sp4.Space.points)
     st4.Design.evaluations;
   Alcotest.(check int) "cache hits agree" st1.Design.cache_hits st4.Design.cache_hits
-
-let test_pool_reuse () =
-  Engine.Pool.with_pool 3 @@ fun pool ->
-  Alcotest.(check int) "pool size" 3 (Engine.Pool.size pool);
-  (* Two sweeps over the same pool: identical to fresh-domain sweeps. *)
-  List.iter
-    (fun name ->
-      let k = kernel name in
-      let pooled_ctx = Design.context ~profile k in
-      let pooled = Space.sweep ~max_product:16 ~pool pooled_ctx in
-      let plain_ctx = Design.context ~profile k in
-      let plain = Space.sweep ~max_product:16 ~jobs:1 plain_ctx in
-      Alcotest.(check bool)
-        (name ^ ": pooled sweep identical") true
-        (pooled.Space.points = plain.Space.points))
-    [ "fir"; "mm" ]
-
-let test_pool_exceptions () =
-  Engine.Pool.with_pool 2 @@ fun pool ->
-  let hits = Atomic.make 0 in
-  (match
-     Engine.Pool.run pool
-       (List.init 8 (fun i () ->
-            if i = 3 then failwith "boom" else Atomic.incr hits))
-   with
-  | () -> Alcotest.fail "expected the stashed exception to re-raise"
-  | exception Failure msg -> Alcotest.(check string) "message" "boom" msg);
-  (* The pool survives a failed batch. *)
-  Engine.Pool.run pool [ (fun () -> Atomic.incr hits) ];
-  Alcotest.(check int) "all non-failing tasks ran" 8 (Atomic.get hits)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end CLI acceptance: cold vs warm over the paper's kernels *)
@@ -371,7 +341,7 @@ let test_cli_cold_warm () =
   let dir = fresh_dir () in
   let args =
     [ "explore"; "-k"; "fir"; "-k"; "mm"; "-k"; "pat"; "-k"; "jac"; "-k";
-      "sobel"; "--cache-dir"; dir; "-j"; "1" ]
+      "sobel"; "--cache-dir"; dir ]
   in
   let out_cold = Filename.temp_file "defacto-cold" ".out" in
   let out_warm = Filename.temp_file "defacto-warm" ".out" in
@@ -405,7 +375,7 @@ let test_cli_cache_subcommand () =
   let out = Filename.temp_file "defacto-cache" ".out" in
   Alcotest.(check int)
     "explore with store exits 0" 0
-    (run_defacto [ "explore"; "-k"; "fir"; "--cache-dir"; dir; "-j"; "1" ] out);
+    (run_defacto [ "explore"; "-k"; "fir"; "--cache-dir"; dir ] out);
   Alcotest.(check int)
     "cache stats exits 0" 0
     (run_defacto [ "cache"; "stats"; "--cache-dir"; dir ] out);
@@ -461,9 +431,6 @@ let () =
         [
           Alcotest.test_case "sweep stats deterministic" `Quick
             test_sweep_stats_deterministic;
-          Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
-          Alcotest.test_case "pool exception propagation" `Quick
-            test_pool_exceptions;
         ] );
       ( "cli",
         [

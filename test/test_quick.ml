@@ -174,13 +174,17 @@ let test_quick_admissible_paper_kernels () =
 (* ------------------------------------------------------------------ *)
 (* Pruned sweep: same selections, strictly fewer syntheses *)
 
-let sweep_pair name ~max_product =
+let sweep_pair ?(jobs = 1) name ~max_product =
   let k = Option.get (Kernels.find name) in
   let full_ctx = Design.context k in
   let full = Space.sweep ~max_product ~jobs:1 full_ctx in
   let pruned_ctx = Design.context k in
-  let pruned = Space.sweep ~max_product ~prune:true ~jobs:1 pruned_ctx in
+  let pruned = Space.sweep ~max_product ~prune:true ~jobs pruned_ctx in
   (full_ctx, full, pruned_ctx, pruned)
+
+let vec = function
+  | Some (p : Space.sweep_point) -> Some p.Space.vector
+  | None -> None
 
 let test_pruned_sweep name () =
   let full_ctx, full, pruned_ctx, pruned = sweep_pair name ~max_product:256 in
@@ -198,10 +202,6 @@ let test_pruned_sweep name () =
     true
     (pruned_evals < full_evals);
   (* identical selections under both criteria *)
-  let vec = function
-    | Some (p : Space.sweep_point) -> Some p.Space.vector
-    | None -> None
-  in
   Alcotest.(check bool)
     (name ^ " same best fitting") true
     (vec (Space.best_fitting full_ctx full)
@@ -210,6 +210,59 @@ let test_pruned_sweep name () =
     (name ^ " same smallest comparable") true
     (vec (Space.smallest_comparable full_ctx full)
     = vec (Space.smallest_comparable pruned_ctx pruned))
+
+(* The multi-domain pruned sweep shares its incumbent through a CAS:
+   whichever points the domains' timing lets it skip, the selections
+   match the exhaustive single-domain sweep's, every lattice point is
+   either evaluated or pruned, and nothing is synthesized twice. *)
+let test_parallel_pruned_sweep () =
+  List.iter
+    (fun name ->
+      let full_ctx, full, par_ctx, par =
+        sweep_pair ~jobs:3 name ~max_product:256
+      in
+      let evaluated = List.length par.Space.points in
+      Alcotest.(check int)
+        (name ^ " points + pruned = lattice")
+        (List.length full.Space.points)
+        (evaluated + par.Space.pruned);
+      Alcotest.(check int)
+        (name ^ " evaluations = points")
+        evaluated
+        (Design.stats_snapshot par_ctx).Design.evaluations;
+      Alcotest.(check bool)
+        (name ^ " same best fitting") true
+        (vec (Space.best_fitting full_ctx full)
+        = vec (Space.best_fitting par_ctx par));
+      Alcotest.(check bool)
+        (name ^ " same smallest comparable") true
+        (vec (Space.smallest_comparable full_ctx full)
+        = vec (Space.smallest_comparable par_ctx par));
+      (* The incumbent never drops below the best fitting design, so
+         every skipped point's bounds rule it out against that design. *)
+      let best =
+        Design.cycles (Option.get (Space.best_fitting full_ctx full)).Space.point
+      in
+      let limit = int_of_float (Float.ceil (float_of_int best *. 1.05)) in
+      List.iter
+        (fun (sp : Space.sweep_point) ->
+          if
+            not
+              (List.exists
+                 (fun (e : Space.sweep_point) -> e.Space.vector = sp.Space.vector)
+                 par.Space.points)
+          then
+            match Design.quick full_ctx sp.Space.vector with
+            | None -> Alcotest.fail (name ^ ": quick facts unavailable")
+            | Some q ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %s pruned soundly" name
+                     (Helpers.vector_to_string sp.Space.vector))
+                  true
+                  (q.Quick.slices_lb > full_ctx.Design.capacity
+                  || q.Quick.cycles_lb > limit))
+        full.Space.points)
+    [ "fir"; "mm"; "jac" ]
 
 (* ------------------------------------------------------------------ *)
 (* Search: the tier-1 capacity gate *)
@@ -300,6 +353,8 @@ let () =
             (test_pruned_sweep "fir");
           Alcotest.test_case "mm: same selection, fewer syntheses" `Quick
             (test_pruned_sweep "mm");
+          Alcotest.test_case "jobs 3 selects like exhaustive jobs 1" `Quick
+            test_parallel_pruned_sweep;
         ] );
       ( "search",
         [
