@@ -213,6 +213,9 @@ let json_of_fields fields =
     throwaway directory is used and removed afterwards. *)
 let bench_cache_dir : string option ref = ref None
 
+let median3 f =
+  List.nth (List.sort compare (List.init 3 (fun _ -> f ()))) 1
+
 (** Per-point scalar-replacement time in ms, median of 3 full pipeline
     runs at [vector]: the span from the unroll-and-jam stage boundary to
     the scalar-replacement one, read through [Pipeline.apply ?observe]. *)
@@ -231,36 +234,62 @@ let scalar_replace_ms name vector =
     ignore (Transform.Pipeline.apply ~observe opts k);
     !ms
   in
-  let runs = List.sort compare (List.init 3 (fun _ -> once ())) in
-  List.nth runs 1
+  median3 once
 
-(** Scalar-replacement scaling columns of the long-sweep kernels (jac,
-    sobel; both 30x30 nests): the fully unrolled product-900 point, and
-    the mean of the two product-450 points that halve one loop. A
-    replacement linear in the unrolled body keeps p900 within 2x of
-    p450; the CI gate asserts it. *)
-let scalar_replace_columns name =
+(** Per-point schedule time in ms with scalar replacement off
+    ([sr- peel- licm+]: every unrolled load stays a memory access, the
+    joint sweep's largest blocks), median of 3 estimates of the
+    transformed kernel, each with a fresh schedule memo. *)
+let schedule_ms name vector =
+  let k = Option.get (Kernels.find name) in
+  let opts =
+    Transform.Pipeline.apply_config ~base:Transform.Pipeline.default
+      { vector; tile = None; scalar_replace = false; peel = false; licm = true }
+  in
+  let kt = (Transform.Pipeline.apply opts k).Transform.Pipeline.kernel in
+  let profile = Hls.Estimate.default_profile () in
+  let once () =
+    let timers = Hls.Estimate.fresh_timers () in
+    ignore
+      (Hls.Estimate.estimate ~sched_memo:(Hls.Schedule.memo_create ()) ~timers
+         profile kt);
+    1000.0 *. timers.Hls.Estimate.schedule_seconds
+  in
+  median3 once
+
+(** Per-point scaling columns of the long-sweep kernels (jac, sobel;
+    both 30x30 nests): [measure] at the fully unrolled product-900
+    point, and the mean of the two product-450 points that halve one
+    loop. A layer linear in the unrolled body keeps p900 near 2x p450;
+    the CI gate bounds the ratio (2x for scalar replacement, 2.5x for
+    scheduling). *)
+let scaling_columns ~label ~key measure name =
+  let axes = axes_of name in
+  let k = Option.get (Kernels.find name) in
+  let trips =
+    List.map Ir.Ast.loop_trip (Ir.Loop_nest.spine k.Ir.Ast.k_body)
+  in
+  let t_o, t_i =
+    match trips with o :: i :: _ -> (o, i) | _ -> assert false
+  in
+  let point uo ui = measure name [ (axes.outer, uo); (axes.inner, ui) ] in
+  let p450 = (point (t_o / 2) t_i +. point t_o (t_i / 2)) /. 2.0 in
+  let p900 = point t_o t_i in
+  Printf.printf "#  %-14s %-6s p450 %.1f ms, p900 %.1f ms (%.2fx)\n" label name
+    p450 p900 (p900 /. p450);
+  [
+    (key ^ "_ms_p450", Printf.sprintf "%.3f" p450);
+    (key ^ "_ms_p900", Printf.sprintf "%.3f" p900);
+  ]
+
+let scaling_kernel_columns name =
   if not (List.mem name [ "jac"; "sobel" ]) then []
   else begin
-    let axes = axes_of name in
-    let k = Option.get (Kernels.find name) in
-    let trips =
-      List.map Ir.Ast.loop_trip (Ir.Loop_nest.spine k.Ir.Ast.k_body)
+    let sr =
+      scaling_columns ~label:"scalar-replace" ~key:"scalar_replace"
+        scalar_replace_ms name
     in
-    let t_o, t_i =
-      match trips with o :: i :: _ -> (o, i) | _ -> assert false
-    in
-    let point uo ui =
-      scalar_replace_ms name [ (axes.outer, uo); (axes.inner, ui) ]
-    in
-    let p450 = (point (t_o / 2) t_i +. point t_o (t_i / 2)) /. 2.0 in
-    let p900 = point t_o t_i in
-    Printf.printf "#  scalar-replace %-6s p450 %.1f ms, p900 %.1f ms (%.2fx)\n"
-      name p450 p900 (p900 /. p450);
-    [
-      ("scalar_replace_ms_p450", Printf.sprintf "%.3f" p450);
-      ("scalar_replace_ms_p900", Printf.sprintf "%.3f" p900);
-    ]
+    sr @ scaling_columns ~label:"schedule sr-" ~key:"schedule" schedule_ms name
   end
 
 (** Per kernel: search wall time and evaluations, selected design, the
@@ -513,7 +542,7 @@ let dse_json () =
               if joint_strictly_better then "true" else "false" );
           ]
           @ List.assoc name session_extra
-          @ scalar_replace_columns name))
+          @ scaling_kernel_columns name))
       Kernels.names
   in
   (* At the smoke lattice (unroll product <= 16) the joint winner often

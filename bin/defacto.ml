@@ -421,8 +421,10 @@ let max_product_arg =
 
 let jobs_arg =
   let doc =
-    "Evaluate the sweep on $(docv) parallel domains (positive; 1 forces \
-     the sequential path; the default scales with the host's cores)."
+    "Evaluate the unroll sweep on $(docv) parallel domains (positive; 1 \
+     forces the sequential path; the default scales with the host's \
+     cores). Applies to the unroll sweep only: the joint sweep \
+     ($(b,--joint)) is sequential and ignores $(docv)."
   in
   Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -97,10 +97,11 @@ type context = {
           cached points — build a fresh context instead (updating
           [capacity] is fine for the [full] backends: it does not enter
           behavioral evaluation). *)
-  quick_facts : (string * int) option -> Hls.Quick.facts;
-      (** tier-1 pre-estimator facts per tile candidate, memoized and
-          mutex-protected; facts for a tile come from the strip-mined
-          source, keeping the quick bounds admissible under tiling *)
+  tile_facts : (string * int) option -> Engine.Backend.tile_facts;
+      (** tier-1 pre-estimator facts and applied unroll loops per
+          tile candidate, memoized and mutex-protected; both come from
+          the strip-mined source, keeping the quick bounds admissible
+          under tiling *)
   verify : bool;
       (** translation-validate every uncached evaluation
           ({!Check.Validate}); selections are bit-identical, violations
@@ -110,7 +111,7 @@ type context = {
 }
 
 (** The engine view of a context: same fields, minus the mutable store.
-    Cheap (one record allocation); the quick-facts suspension is shared,
+    Cheap (one record allocation); the tile-facts memo is shared,
     not rebuilt. *)
 let env (ctx : context) : Engine.Backend.env =
   {
@@ -120,7 +121,7 @@ let env (ctx : context) : Engine.Backend.env =
     spine = ctx.spine;
     spine_divisors = ctx.spine_divisors;
     pipeline = ctx.pipeline;
-    quick_facts = ctx.quick_facts;
+    tile_facts = ctx.tile_facts;
     verify = ctx.verify;
   }
 
@@ -141,7 +142,7 @@ let context ?pipeline ?profile ?verify ?capacity
     pipeline = env.Engine.Backend.pipeline;
     backend;
     store;
-    quick_facts = env.Engine.Backend.quick_facts;
+    tile_facts = env.Engine.Backend.tile_facts;
     verify = env.Engine.Backend.verify;
     stats = store.Engine.Store.stats;
   }
@@ -248,10 +249,10 @@ let stats_diff = Engine.Store.stats_diff
     across domains. Never share one mutable context across domains —
     fork per domain and [absorb] the forks back on the joining side. *)
 let fork (ctx : context) : context =
-  (* The quick-facts memo is mutex-protected and domain-safe, but
+  (* The tile-facts memo is mutex-protected and domain-safe, but
      pre-warm the base pipeline's entry here so sweep domains start
      from a hit instead of contending on the first computation. *)
-  ignore (ctx.quick_facts ctx.pipeline.Transform.Pipeline.tile);
+  ignore (ctx.tile_facts ctx.pipeline.Transform.Pipeline.tile);
   let store = Engine.Store.fork ctx.store in
   { ctx with store; stats = store.Engine.Store.stats }
 

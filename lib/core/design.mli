@@ -97,10 +97,11 @@ type context = {
           cached points — build a fresh context with {!context} instead
           (updating [capacity] is fine for the behavioral backends: it
           does not enter evaluation). *)
-  quick_facts : (string * int) option -> Hls.Quick.facts;
-      (** tier-1 pre-estimator facts per tile candidate, memoized and
-          mutex-protected; facts for a tile come from the strip-mined
-          source, keeping the quick bounds admissible under tiling *)
+  tile_facts : (string * int) option -> Engine.Backend.tile_facts;
+      (** tier-1 pre-estimator facts and applied unroll loops per
+          tile candidate, memoized and mutex-protected; both come from
+          the strip-mined source, keeping the quick bounds admissible
+          under tiling *)
   verify : bool;
       (** translation-validate every uncached evaluation with
           {!Check.Validate}: the transformed result and every selection

@@ -23,6 +23,8 @@
 
 open Ir
 
+type tile_facts = { quick : Hls.Quick.facts; unrolled : string list }
+
 type env = {
   source : Ast.kernel;  (** the input loop nest *)
   profile : Hls.Estimate.profile;
@@ -32,12 +34,12 @@ type env = {
       (** ascending divisors of each spine loop's trip count *)
   pipeline : Transform.Pipeline.options;
       (** base options (the searched knobs are set per point) *)
-  quick_facts : (string * int) option -> Hls.Quick.facts;
-      (** tier-1 pre-estimator facts per tile candidate, memoized and
-          mutex-protected (safe to share across sweep domains). The
-          facts for [Some (loop, tile)] are computed from the
-          strip-mined source, so the quick bounds stay admissible over
-          tiling design points *)
+  tile_facts : (string * int) option -> tile_facts;
+      (** tier-1 pre-estimator facts and applied unroll loops per tile
+          candidate, memoized and mutex-protected (safe to share
+          across sweep domains). Both are computed from the strip-mined
+          source, so the quick bounds stay admissible over tiling
+          design points *)
   verify : bool;
       (** translation-validate every uncached evaluation
           ({!Check.Validate}); selections are bit-identical, violations
@@ -48,13 +50,13 @@ let make_env ?(pipeline = Transform.Pipeline.default)
     ?(profile = Hls.Estimate.default_profile ()) ?(verify = false) ?capacity
     (source : Ast.kernel) : env =
   let spine = Loop_nest.spine source.k_body in
-  let quick_facts =
+  let tile_facts =
     (* One facts value per tile candidate, computed from the (possibly
        strip-mined) source. The memo and its mutex live in this closure
        and are shared by every fork of the owning context — OCaml 5
        mutexes are domain-safe, and the critical section is one table
        probe or one facts computation. *)
-    let memo : ((string * int) option, Hls.Quick.facts) Hashtbl.t =
+    let memo : ((string * int) option, tile_facts) Hashtbl.t =
       Hashtbl.create 4
     in
     let lock = Mutex.create () in
@@ -73,9 +75,22 @@ let make_env ?(pipeline = Transform.Pipeline.default)
                     try Transform.Tiling.tile_for_registers ~index ~tile:t source
                     with _ -> source)
               in
+              (* [effective] applies either every spine loop's factor
+                 (jamming legal) or only the innermost loop's; probing
+                 it with every loop at its full trip tells which, for
+                 every vector of trip-bounded factors. *)
+              let probe =
+                List.map
+                  (fun (l : Ast.loop) -> (l.index, Ast.loop_trip l))
+                  (Loop_nest.spine k.k_body)
+              in
               let f =
-                Hls.Quick.facts ~device:profile.Hls.Estimate.device
-                  ~mem:profile.Hls.Estimate.mem k
+                {
+                  quick =
+                    Hls.Quick.facts ~device:profile.Hls.Estimate.device
+                      ~mem:profile.Hls.Estimate.mem k;
+                  unrolled = List.map fst (Transform.Unroll.effective k probe);
+                }
               in
               Hashtbl.replace memo tile f;
               f)
@@ -93,7 +108,7 @@ let make_env ?(pipeline = Transform.Pipeline.default)
         (fun (l : Ast.loop) -> (l.index, Util.divisors (Ast.loop_trip l)))
         spine;
     pipeline;
-    quick_facts;
+    tile_facts;
     verify;
   }
 
@@ -131,7 +146,10 @@ let base_config (env : env) (v : (string * int) list) : Store.config =
     it a no-op (tile of 1, or the whole trip); the unroll factor of a
     tiled loop is forced to 1 (strip-mining renames the loop, so the
     unroller would ignore the entry — two spellings of the same
-    design). A tile index naming no spine loop is kept verbatim:
+    design); so is every other factor the pipeline would not apply to
+    the strip-mined source (the strip-mined subscripts can defeat the
+    jam test, and then only the innermost loop unrolls whatever the
+    vector asks). A tile index naming no spine loop is kept verbatim:
     synthesis of such a configuration fails loudly in the pipeline. *)
 let normalize_config (env : env) (c : Store.config) : Store.config =
   let tile =
@@ -158,7 +176,10 @@ let normalize_config (env : env) (c : Store.config) : Store.config =
   let vector =
     match tile with
     | Some (ti, _) ->
-        List.map (fun (i, u) -> if i = ti then (i, 1) else (i, u)) vector
+        let unrolled = (env.tile_facts tile).unrolled in
+        List.map
+          (fun (i, u) -> (i, if i <> ti && List.mem i unrolled then u else 1))
+          vector
     | None -> vector
   in
   { c with Store.vector; tile }
@@ -298,7 +319,7 @@ let lowlevel : t =
 let quick_bound (env : env) (store : Store.t) (c : Store.config) :
     Hls.Quick.t option =
   let c = normalize_config env c in
-  let facts = env.quick_facts c.Store.tile in
+  let facts = (env.tile_facts c.Store.tile).quick in
   store.Store.stats.Store.quick_estimates <-
     store.Store.stats.Store.quick_estimates + 1;
   Some (Hls.Quick.bound facts ~vector:c.Store.vector)

@@ -5,6 +5,18 @@
 
 open Ir
 
+(** What the evaluation of a tile candidate needs from the strip-mined
+    source, computed once per tile. *)
+type tile_facts = {
+  quick : Hls.Quick.facts;
+      (** tier-1 pre-estimator facts of the strip-mined source, keeping
+          the quick bounds admissible under tiling *)
+  unrolled : string list;
+      (** the loops whose unroll factors the pipeline applies to the
+          strip-mined source ({!Transform.Unroll.effective}): every
+          spine loop when jamming is legal, else only the innermost *)
+}
+
 type env = {
   source : Ast.kernel;  (** the input loop nest *)
   profile : Hls.Estimate.profile;
@@ -14,11 +26,10 @@ type env = {
       (** ascending divisors of each spine loop's trip count *)
   pipeline : Transform.Pipeline.options;
       (** base options (the searched knobs are set per point) *)
-  quick_facts : (string * int) option -> Hls.Quick.facts;
-      (** tier-1 pre-estimator facts per tile candidate, memoized and
-          mutex-protected (safe to share across sweep domains); the
-          facts for [Some (loop, tile)] come from the strip-mined
-          source, keeping the quick bounds admissible under tiling *)
+  tile_facts : (string * int) option -> tile_facts;
+      (** facts per (normalized) tile candidate, [None] for the
+          untiled source; memoized and mutex-protected (safe to share
+          across sweep domains) *)
   verify : bool;
       (** translation-validate every uncached evaluation *)
 }
@@ -43,9 +54,14 @@ val base_config : env -> (string * int) list -> Store.config
     {!normalize_vector}d, a spine tile is clamped to the divisor the
     strip-mine would use (and dropped when that makes it a no-op), and
     the unroll factor of a tiled loop is forced to 1 (the strip-mine
-    renames the loop, so the unroller would ignore the entry). A tile
-    index naming no spine loop is kept verbatim — synthesizing such a
-    configuration fails loudly in the pipeline. *)
+    renames the loop, so the unroller would ignore the entry), and
+    under a tile the other factors are reduced to those
+    {!Transform.Unroll.effective} applies to the strip-mined source —
+    when the strip-mined subscripts defeat the jam test only the
+    innermost loop unrolls, so outer factors would name designs that
+    were never built. A tile index naming no spine loop is kept
+    verbatim — synthesizing such a configuration fails loudly in the
+    pipeline. *)
 val normalize_config : env -> Store.config -> Store.config
 
 type t = {

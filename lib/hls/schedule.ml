@@ -14,7 +14,17 @@
     produces them in a single walk over the node array (one traversal,
     one operator-class/delay lookup per node) instead of three separate
     {!run} calls. Both entry points share the same per-node scheduling
-    helpers, so their results are identical by construction. *)
+    helpers, so their results are identical by construction.
+
+    Per-cycle state is array-backed, so a block schedules in time
+    near-linear in its node count plus the cycles its operators span:
+    each memory keeps union-find skip pointers over start cycles that
+    answer "first free window at or after the ready cycle" in amortised
+    near-constant time however many accesses queue ahead (a block of
+    an unrolled stencil without scalar replacement holds thousands of
+    loads per memory, most ready long before a port frees up), and each
+    operator class/width bucket keeps a row of per-cycle counts with its
+    running peak. *)
 
 type mode = [ `Joint | `Mem_only | `Comp_only ]
 
@@ -40,62 +50,123 @@ type result = {
 
 let eps = 1e-6
 
-(* One mode's scheduling state: finish times plus the memory-occupancy
-   and operator-concurrency tables its constraints need. The three modes
-   never share state, which is what lets [run_tri] advance all of them
-   through a single node-array walk. *)
+(* Memory ports. A memory accepts one access per occupancy window: a
+   read holds its port for [read_occupancy] consecutive cycles, a write
+   for [write_occupancy]. An access ready at cycle [c0] issues at the
+   first [c >= c0] whose window [c, c + occ) is entirely free (first
+   fit; earlier gaps stay usable by later, earlier-ready accesses).
+
+   Each memory keeps, per distinct window width [w], a union-find over
+   start cycles: [s] is its own root while [s, s + w) is free and links
+   to a later cycle once any cycle of that window is busy. Busy cycles
+   never become free again, so a dead start stays dead, and the first
+   fit at or after [c0] is simply the root of [c0] — near-constant
+   amortised time with path halving, where a cycle-by-cycle scan would
+   rescan the whole busy run ahead of every access. The arrays grow on
+   demand (new slots are their own roots); a start beyond an array's
+   end is free. *)
+
+let rec root (link : int array) s =
+  if s >= Array.length link then s
+  else
+    let p = Array.unsafe_get link s in
+    if p = s then s
+    else begin
+      let pp = if p < Array.length link then Array.unsafe_get link p else p in
+      Array.unsafe_set link s pp;
+      root link pp
+    end
+
+(* [a] grown (at least doubling) to cover index [i]; a new slot [s]
+   holds [fresh s]. *)
+let cover fresh a i =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let a' = Array.init (max (i + 1) (2 * n)) fresh in
+    Array.blit a 0 a' 0 n;
+    a'
+  end
+
+(* Per-cycle concurrency of one operator class/width bucket; [peak] is
+   the running maximum of [counts]. *)
+type row = {
+  cls : Op_model.op_class;
+  bucket : int;
+  mutable counts : int array;
+  mutable peak : int;
+}
+
+(* One mode's scheduling state: finish times plus the port allocators
+   and operator rows its constraints need. The three modes never share
+   state, which is what lets [run_tri] advance all of them through a
+   single node-array walk. *)
 type state = {
   use_mem : bool;
   use_comp : bool;
   finish : float array;
-  (* Memory occupancy as a busy-cycle set per memory, with a per-memory
-     hint for the earliest cycle that may still be free (keeps the
-     all-ready-at-zero relaxed schedules linear). *)
-  busy : (int * int, unit) Hashtbl.t;
-  hint : (int, int) Hashtbl.t;
-  (* Operator concurrency per cycle. *)
-  occupancy : (Op_model.op_class * int * int, int) Hashtbl.t;
+  widths : int array;
+      (* the distinct window widths: read occupancy, then write
+         occupancy when it differs *)
+  mutable links : int array array;
+      (* start-cycle union-find of memory [m], width [k] at
+         [m * Array.length widths + k] *)
+  mutable rows : row list;
   mutable bits : int;
   mutable reads : int;
   mutable writes : int;
 }
 
-let make_state ~(mode : mode) n =
+let make_state (p : profile) ~(mode : mode) n =
+  let r = p.mem.Memory_model.read_occupancy
+  and w = p.mem.Memory_model.write_occupancy in
   {
     use_mem = mode <> `Comp_only;
     use_comp = mode <> `Mem_only;
     finish = Array.make n 0.0;
-    busy = Hashtbl.create 256;
-    hint = Hashtbl.create 8;
-    occupancy = Hashtbl.create 64;
+    widths = (if r = w then [| r |] else [| r; w |]);
+    links = [||];
+    rows = [];
     bits = 0;
     reads = 0;
     writes = 0;
   }
 
-let find_slot st memid c0 occ =
-  let h = Option.value ~default:0 (Hashtbl.find_opt st.hint memid) in
-  let free c =
-    let rec go k = k >= occ || ((not (Hashtbl.mem st.busy (memid, c + k))) && go (k + 1)) in
-    go 0
-  in
-  let rec search c = if free c then c else search (c + 1) in
-  let c = search (max c0 h) in
-  for k = 0 to occ - 1 do
-    Hashtbl.replace st.busy (memid, c + k) ()
+(* Issue an access occupying [occ] cycles on memory [memid], ready at
+   cycle [c0]; [k] indexes [occ] in [st.widths]. Returns the issue
+   cycle and marks its window busy: under every tracked width [w], the
+   starts [c - w + 1 .. c + occ - 1] now overlap a busy cycle, so each
+   links past the window's end. *)
+let find_slot st memid ~k c0 occ =
+  let nw = Array.length st.widths in
+  let base = memid * nw in
+  st.links <- cover (fun _ -> [||]) st.links (base + nw - 1);
+  let c = root st.links.(base + k) (max 0 c0) in
+  let last = c + occ - 1 in
+  for j = 0 to nw - 1 do
+    let link = cover Fun.id st.links.(base + j) last in
+    for s = max 0 (c - st.widths.(j) + 1) to last do
+      if Array.unsafe_get link s <= last then Array.unsafe_set link s (last + 1)
+    done;
+    st.links.(base + j) <- link
   done;
-  (* advance the hint past any now-full prefix when this fill touched it *)
-  if c = h then begin
-    let rec bump c = if Hashtbl.mem st.busy (memid, c) then bump (c + 1) else c in
-    Hashtbl.replace st.hint memid (bump h)
-  end;
   c
 
 let occupy st cls bucket c0 c1 =
+  let row =
+    match List.find_opt (fun r -> r.cls = cls && r.bucket = bucket) st.rows with
+    | Some row -> row
+    | None ->
+        let row = { cls; bucket; counts = [||]; peak = 0 } in
+        st.rows <- row :: st.rows;
+        row
+  in
+  let counts = cover (fun _ -> 0) row.counts c1 in
+  row.counts <- counts;
   for c = c0 to c1 do
-    let key = (cls, bucket, c) in
-    Hashtbl.replace st.occupancy key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt st.occupancy key))
+    let v = counts.(c) + 1 in
+    counts.(c) <- v;
+    if v > row.peak then row.peak <- v
   done
 
 let ready st preds =
@@ -138,12 +209,16 @@ let sched_mem (p : profile) st id ~mem ~width ~is_read r =
   st.bits <- st.bits + width;
   if not st.use_mem then st.finish.(id) <- r
   else begin
-    let occ, lat =
-      if is_read then (p.mem.Memory_model.read_occupancy, p.mem.Memory_model.read_latency)
-      else (p.mem.Memory_model.write_occupancy, p.mem.Memory_model.write_latency)
+    let occ, lat, k =
+      if is_read then
+        (p.mem.Memory_model.read_occupancy, p.mem.Memory_model.read_latency, 0)
+      else
+        ( p.mem.Memory_model.write_occupancy,
+          p.mem.Memory_model.write_latency,
+          Array.length st.widths - 1 )
     in
     let c0 = int_of_float (Float.ceil ((r -. eps) /. clk)) in
-    let c = find_slot st mem c0 occ in
+    let c = find_slot st mem ~k c0 occ in
     st.finish.(id) <- Float.of_int (c + lat) *. clk
   end
 
@@ -151,17 +226,8 @@ let finalize (p : profile) st : result =
   let clk = p.device.Device.clock_ns in
   let max_finish = Array.fold_left Float.max 0.0 st.finish in
   let cycles = int_of_float (Float.ceil ((max_finish -. eps) /. clk)) in
-  (* Fold per-cycle occupancy into per-operator maxima. *)
   let usage : ((Op_model.op_class * int) * int) list =
-    let tbl = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun (cls, bucket, _) count ->
-        let key = (cls, bucket) in
-        let cur = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-        Hashtbl.replace tbl key (max cur count))
-      st.occupancy;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort compare
+    List.map (fun r -> ((r.cls, r.bucket), r.peak)) st.rows |> List.sort compare
   in
   { cycles = max cycles 0; bits_moved = st.bits; usage; reads = st.reads; writes = st.writes }
 
@@ -177,7 +243,7 @@ let step (p : profile) st (node : Dfg.node) =
   | Dfg.Store { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:false r
 
 let run ?(mode : mode = `Joint) (p : profile) (g : Dfg.t) : result =
-  let st = make_state ~mode g.Dfg.len in
+  let st = make_state p ~mode g.Dfg.len in
   for i = 0 to g.Dfg.len - 1 do
     step p st g.Dfg.nodes.(i)
   done;
@@ -239,9 +305,9 @@ let tri_step (p : profile) j m c (node : Dfg.node) =
 
 let run_tri (p : profile) (g : Dfg.t) : tri =
   let n = g.Dfg.len in
-  let j = make_state ~mode:`Joint n in
-  let m = make_state ~mode:`Mem_only n in
-  let c = make_state ~mode:`Comp_only n in
+  let j = make_state p ~mode:`Joint n in
+  let m = make_state p ~mode:`Mem_only n in
+  let c = make_state p ~mode:`Comp_only n in
   for i = 0 to n - 1 do
     tri_step p j m c g.Dfg.nodes.(i)
   done;

@@ -339,6 +339,72 @@ let test_normalize () =
   in
   Alcotest.(check bool) "full-trip tile dropped" true (c4.Design.tile = None)
 
+(* Under a tile whose strip-mined subscripts defeat the jam test, the
+   pipeline unrolls only the innermost loop; normalization folds the
+   outer factors it drops, so the copies share one cache key. *)
+let test_normalize_tiled_fallback () =
+  let k = kernel "sobel" in
+  let ctx = Design.context ~profile k in
+  let base = Design.base_config ctx [] in
+  let c =
+    { base with Design.vector = [ ("i", 2); ("j", 1) ]; tile = Some ("j", 15) }
+  in
+  let n = Design.normalize_config ctx c in
+  Alcotest.(check (option int)) "i folded to 1" (Some 1)
+    (List.assoc_opt "i" n.Design.vector);
+  Alcotest.(check bool) "idempotent" true (Design.normalize_config ctx n = n);
+  let build c =
+    (Pipeline.apply (Pipeline.apply_config ~base:Pipeline.default c) k)
+      .Pipeline.kernel
+  in
+  Alcotest.(check bool) "same design as the request" true (build c = build n)
+
+(* Normalization is exact on the joint space's tile/toggle groups: a
+   configuration builds the same kernel as its canonical key, and two
+   different canonical vectors in one group build different kernels —
+   every joint row names a design that was actually built. *)
+let test_normalize_exact () =
+  List.iter
+    (fun name ->
+      let k = kernel name in
+      let ctx = Design.context ~profile k in
+      let eligible =
+        List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.spine
+      in
+      let vectors = Space.divisor_vectors ~max_product:32 ctx ~eligible in
+      let build c =
+        (Pipeline.apply (Pipeline.apply_config ~base:Pipeline.default c) k)
+          .Pipeline.kernel
+      in
+      List.iter
+        (fun tile ->
+          List.iter
+            (fun (scalar_replace, peel) ->
+              let built = Hashtbl.create 16 in
+              List.iter
+                (fun vector ->
+                  let c =
+                    { Design.vector; tile; scalar_replace; peel; licm = true }
+                  in
+                  let n = Design.normalize_config ctx c in
+                  let kn = build n in
+                  let label = Design.config_to_string c in
+                  Alcotest.(check bool) (label ^ ": builds its key's design") true
+                    (build c = kn);
+                  Hashtbl.iter
+                    (fun v k' ->
+                      if v <> n.Design.vector && k' = kn then
+                        Alcotest.failf "%s: %s and %s build the same kernel" name
+                          label
+                          (Design.config_to_string { n with Design.vector = v }))
+                    built;
+                  Hashtbl.replace built n.Design.vector kn)
+                vectors)
+            [ (true, true); (false, false) ])
+        (Space.joint_tile_options ctx
+           ~candidates:Space.default_tile_candidates))
+    [ "fir"; "mm"; "pat"; "jac"; "sobel" ]
+
 (* The vector API is the base-configuration special case: evaluating a
    vector and then its [base_config] spelling is one cache entry. *)
 let test_vector_config_agree () =
@@ -471,6 +537,10 @@ let () =
       ( "configs",
         [
           Alcotest.test_case "normalization" `Quick test_normalize;
+          Alcotest.test_case "tiled jam fallback folds outer factors" `Quick
+            test_normalize_tiled_fallback;
+          Alcotest.test_case "canonical keys name distinct built designs"
+            `Quick test_normalize_exact;
           Alcotest.test_case "vector API agrees with base config" `Quick
             test_vector_config_agree;
         ] );

@@ -35,8 +35,8 @@ let tri_equals_three_runs (p : Schedule.profile) (g : Dfg.t) : bool =
 
 (** Walk a kernel body the way the estimator does — maximal loop-free
     blocks, in traversal order so the access cursor stays in sync — and
-    check [tri_equals_three_runs] on every block's DFG. *)
-let tri_matches_on_kernel (k : Ast.kernel) : bool =
+    check [pred] under every profile on every block's DFG. *)
+let blocks_satisfy pred (k : Ast.kernel) : bool =
   let accesses = Analysis.Access.collect k.Ast.k_body in
   let cursor = Dfg.cursor_of accesses in
   let mem_of (a : Analysis.Access.t) = a.Analysis.Access.id mod 4 in
@@ -44,7 +44,7 @@ let tri_matches_on_kernel (k : Ast.kernel) : bool =
   let check_block stmts =
     if stmts <> [] then begin
       let g = Dfg.of_block ~kernel:k ~mem_of ~cursor stmts in
-      List.iter (fun p -> ok := !ok && tri_equals_three_runs p g) sched_profiles
+      List.iter (fun p -> ok := !ok && pred p g) sched_profiles
     end
   in
   let rec walk stmts =
@@ -60,6 +60,8 @@ let tri_matches_on_kernel (k : Ast.kernel) : bool =
   in
   walk k.Ast.k_body;
   !ok
+
+let tri_matches_on_kernel = blocks_satisfy tri_equals_three_runs
 
 let paper_kernels = [ "fir"; "mm"; "pat"; "jac"; "sobel" ]
 
@@ -123,7 +125,8 @@ let block_kernel stmts =
     ~scalars:[ Ast.scalar_decl "x" ]
     stmts
 
-let prop_tri_random_blocks stmts =
+(* [pred] holds on a random block's DFG under every profile. *)
+let random_block_satisfies pred stmts =
   let k = block_kernel stmts in
   let accesses = Analysis.Access.collect k.Ast.k_body in
   let mem_of (a : Analysis.Access.t) = a.Analysis.Access.id mod 4 in
@@ -131,8 +134,260 @@ let prop_tri_random_blocks stmts =
     (fun p ->
       (* each profile needs its own cursor: of_block consumes it *)
       let cursor = Dfg.cursor_of accesses in
-      let g = Dfg.of_block ~kernel:k ~mem_of ~cursor stmts in
-      tri_equals_three_runs p g)
+      pred p (Dfg.of_block ~kernel:k ~mem_of ~cursor stmts))
+    sched_profiles
+
+let prop_tri_random_blocks = random_block_satisfies tri_equals_three_runs
+
+(* ------------------------------------------------------------------ *)
+(* Array-backed scheduler == the hash-table scheduler it replaced *)
+
+(* The block scheduler as it was before its per-cycle state moved into
+   union-find port allocators and per-operator count rows: a busy-cycle
+   set per memory scanned forward one cycle at a time, and a per-cycle
+   operator table with one tuple key per cycle. Kept verbatim as the
+   reference; the production scheduler must compute the same results. *)
+module Reference = struct
+  open Hls
+
+  type mode = Schedule.mode
+  type profile = Schedule.profile = {
+    device : Device.t;
+    mem : Memory_model.t;
+    chaining : bool;
+  }
+  type result = Schedule.result = {
+    cycles : int;
+    bits_moved : int;
+    usage : ((Op_model.op_class * int) * int) list;
+    reads : int;
+    writes : int;
+  }
+
+  let eps = 1e-6
+
+  type state = {
+    use_mem : bool;
+    use_comp : bool;
+    finish : float array;
+    busy : (int * int, unit) Hashtbl.t;
+    hint : (int, int) Hashtbl.t;
+    occupancy : (Op_model.op_class * int * int, int) Hashtbl.t;
+    mutable bits : int;
+    mutable reads : int;
+    mutable writes : int;
+  }
+
+  let make_state ~(mode : mode) n =
+    {
+      use_mem = mode <> `Comp_only;
+      use_comp = mode <> `Mem_only;
+      finish = Array.make n 0.0;
+      busy = Hashtbl.create 256;
+      hint = Hashtbl.create 8;
+      occupancy = Hashtbl.create 64;
+      bits = 0;
+      reads = 0;
+      writes = 0;
+    }
+
+  let find_slot st memid c0 occ =
+    let h = Option.value ~default:0 (Hashtbl.find_opt st.hint memid) in
+    let free c =
+      let rec go k = k >= occ || ((not (Hashtbl.mem st.busy (memid, c + k))) && go (k + 1)) in
+      go 0
+    in
+    let rec search c = if free c then c else search (c + 1) in
+    let c = search (max c0 h) in
+    for k = 0 to occ - 1 do
+      Hashtbl.replace st.busy (memid, c + k) ()
+    done;
+    (* advance the hint past any now-full prefix when this fill touched it *)
+    if c = h then begin
+      let rec bump c = if Hashtbl.mem st.busy (memid, c) then bump (c + 1) else c in
+      Hashtbl.replace st.hint memid (bump h)
+    end;
+    c
+
+  let occupy st cls bucket c0 c1 =
+    for c = c0 to c1 do
+      let key = (cls, bucket, c) in
+      Hashtbl.replace st.occupancy key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt st.occupancy key))
+    done
+
+  let ready st preds =
+    List.fold_left (fun acc p -> Float.max acc st.finish.(p)) 0.0 preds
+
+  let boundary clk t =
+    Float.of_int (int_of_float (Float.ceil ((t -. eps) /. clk))) *. clk
+
+  let sched_op (p : profile) st id cls ~d ~bucket r =
+    if not st.use_comp then st.finish.(id) <- r
+    else begin
+      let clk = p.device.Device.clock_ns in
+      let free = d <= 1.0 in
+      (* free operations (constant shifts, wiring) always chain *)
+      let start =
+        if free then r
+        else if not p.chaining then boundary clk r
+        else if d >= clk then boundary clk r
+        else begin
+          (* chain within the current cycle if the delay fits *)
+          let cyc_start = Float.of_int (int_of_float (r /. clk)) *. clk in
+          if r +. d <= cyc_start +. clk +. eps then r else boundary clk r
+        end
+      in
+      let f = start +. d in
+      st.finish.(id) <- f;
+      if d > 0.5 then begin
+        let c0 = int_of_float (start /. clk) in
+        let c1 = int_of_float ((f -. eps) /. clk) in
+        occupy st cls bucket c0 (max c0 c1)
+      end
+    end
+
+  let sched_mem (p : profile) st id ~mem ~width ~is_read r =
+    let clk = p.device.Device.clock_ns in
+    if is_read then st.reads <- st.reads + 1 else st.writes <- st.writes + 1;
+    st.bits <- st.bits + width;
+    if not st.use_mem then st.finish.(id) <- r
+    else begin
+      let occ, lat =
+        if is_read then (p.mem.Memory_model.read_occupancy, p.mem.Memory_model.read_latency)
+        else (p.mem.Memory_model.write_occupancy, p.mem.Memory_model.write_latency)
+      in
+      let c0 = int_of_float (Float.ceil ((r -. eps) /. clk)) in
+      let c = find_slot st mem c0 occ in
+      st.finish.(id) <- Float.of_int (c + lat) *. clk
+    end
+
+  let finalize (p : profile) st : result =
+    let clk = p.device.Device.clock_ns in
+    let max_finish = Array.fold_left Float.max 0.0 st.finish in
+    let cycles = int_of_float (Float.ceil ((max_finish -. eps) /. clk)) in
+    (* Fold per-cycle occupancy into per-operator maxima. *)
+    let usage : ((Op_model.op_class * int) * int) list =
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun (cls, bucket, _) count ->
+          let key = (cls, bucket) in
+          let cur = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+          Hashtbl.replace tbl key (max cur count))
+        st.occupancy;
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+      |> List.sort compare
+    in
+    { cycles = max cycles 0; bits_moved = st.bits; usage; reads = st.reads; writes = st.writes }
+
+  let step (p : profile) st (node : Dfg.node) =
+    let r = ready st node.preds in
+    match node.kind with
+    | Dfg.Source _ | Dfg.Move _ | Dfg.Move_out _ | Dfg.Reg_write _ ->
+        st.finish.(node.id) <- r
+    | Dfg.Op { cls; width; _ } ->
+        sched_op p st node.id cls ~d:(Op_model.delay_ns cls ~width)
+          ~bucket:(Op_model.width_bucket width) r
+    | Dfg.Load { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:true r
+    | Dfg.Store { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:false r
+
+  let run ?(mode : mode = `Joint) (p : profile) (g : Dfg.t) : result =
+    let st = make_state ~mode g.Dfg.len in
+    for i = 0 to g.Dfg.len - 1 do
+      step p st g.Dfg.nodes.(i)
+    done;
+    finalize p st
+end
+
+(* [run_tri] and every single-mode [run] equal the reference scheduler. *)
+let matches_reference (p : Schedule.profile) (g : Dfg.t) : bool =
+  let t = Schedule.run_tri p g in
+  List.for_all
+    (fun (mode, r) ->
+      let expected = Reference.run ~mode p g in
+      r = expected && Schedule.run ~mode p g = expected)
+    [ (`Joint, t.Schedule.joint); (`Mem_only, t.Schedule.mem_only);
+      (`Comp_only, t.Schedule.comp_only) ]
+
+let prop_reference_random_blocks = random_block_satisfies matches_reference
+
+(* Unrolled paper kernels without scalar replacement: the large blocks
+   (hundreds of loads per memory) the estimator schedules on the joint
+   sweep's [sr-] configurations. *)
+let test_reference_unrolled_kernels () =
+  List.iter
+    (fun (name, u) ->
+      let k = Option.get (Kernels.find name) in
+      let vector =
+        List.map (fun (l : Ast.loop) -> (l.Ast.index, u)) (Loop_nest.spine k.Ast.k_body)
+      in
+      let opts =
+        Transform.Pipeline.apply_config ~base:Transform.Pipeline.default
+          { vector; tile = None; scalar_replace = false; peel = false; licm = true }
+      in
+      let r = Transform.Pipeline.apply opts k in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s u=%d matches reference" name u)
+        true
+        (blocks_satisfy matches_reference r.Transform.Pipeline.kernel))
+    [ ("jac", 8); ("sobel", 6); ("fir", 8); ("mm", 4) ]
+
+(* One block of 2,400 loads and 300 stores on memory 0 (plus a second
+   memory) whose ready times arrive out of order: each access waits on
+   an operator chain of pseudo-random depth, and some on earlier loads,
+   so later accesses keep landing in gaps behind the busy frontier. With
+   non-pipelined memories the 7-cycle read and 3-cycle write windows
+   leave gaps narrower than a read, which only writes can fill. *)
+let out_of_order_block () : Dfg.t =
+  let nodes = ref [] and n = ref 0 in
+  let add kind preds =
+    let id = !n in
+    nodes := { Dfg.id; kind; preds } :: !nodes;
+    incr n;
+    id
+  in
+  let op cls preds = add (Dfg.Op { sem = Dfg.Sbin Ast.Add; cls; width = 32 }) preds in
+  let src = add (Dfg.Source (Dfg.Scalar "x")) [] in
+  let depth = 64 in
+  let chain = Array.make depth src in
+  for d = 1 to depth - 1 do
+    chain.(d) <- op Hls.Op_model.Add [ chain.(d - 1) ]
+  done;
+  let last_load = ref src in
+  for i = 0 to 2699 do
+    let wait = chain.(i * 37 mod depth) in
+    let preds = if i mod 5 = 0 then [ wait; !last_load ] else [ wait ] in
+    let mem = if i mod 11 = 0 then 1 else 0 in
+    if i mod 9 = 4 then
+      ignore
+        (add
+           (Dfg.Store
+              { array = "o"; mem; width = 32; addr = src; value = !last_load; guards = [] })
+           preds)
+    else begin
+      let l = add (Dfg.Load { array = "a"; mem; width = 32; addr = src }) preds in
+      if i mod 3 = 0 then ignore (op Hls.Op_model.Mul [ l; wait ]);
+      last_load := l
+    end
+  done;
+  let nodes = Array.of_list (List.rev !nodes) in
+  { Dfg.nodes; len = Array.length nodes; fp = "" }
+
+let test_reference_out_of_order () =
+  let g = out_of_order_block () in
+  let loads =
+    Array.fold_left
+      (fun acc (nd : Dfg.node) ->
+        match nd.Dfg.kind with Dfg.Load { mem = 0; _ } -> acc + 1 | _ -> acc)
+      0 g.Dfg.nodes
+  in
+  Alcotest.(check bool) (Printf.sprintf "%d loads on one memory" loads) true (loads >= 2000);
+  List.iter
+    (fun (p : Schedule.profile) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s chaining=%b matches reference"
+           (Hls.Memory_model.name p.Schedule.mem) p.Schedule.chaining)
+        true (matches_reference p g))
     sched_profiles
 
 (* ------------------------------------------------------------------ *)
@@ -339,6 +594,15 @@ let () =
             test_tri_paper_kernels;
           Helpers.qtest "random blocks: run_tri == three runs" ~count:100
             gen_block prop_tri_random_blocks;
+        ] );
+      ( "ref-scheduler",
+        [
+          Helpers.qtest "random blocks: run_tri and run == reference"
+            ~count:200 gen_block prop_reference_random_blocks;
+          Alcotest.test_case "unrolled kernels without scalar replacement"
+            `Quick test_reference_unrolled_kernels;
+          Alcotest.test_case "2,000+ out-of-order loads on one memory" `Quick
+            test_reference_out_of_order;
         ] );
       ( "admissibility",
         [
