@@ -172,7 +172,7 @@ let fraction () =
           let sp = Space.sweep ~max_product:(sweep_product ()) ~prune:true c in
           evals := !evals + c.Design.stats.Design.evaluations;
           hits := !hits + c.Design.stats.Design.cache_hits;
-          pruned := !pruned + sp.Space.pruned;
+          pruned := !pruned + sp.Space.pruned_bound;
           smhits := !smhits + c.Design.stats.Design.sched_memo_hits;
           let best = Option.get (Space.best_fitting c sp) in
           let ratio =
@@ -402,14 +402,17 @@ let dse_json () =
         let sp_verified = Space.sweep ~max_product:mp ~jobs:1 c_verified in
         let t_verified = Dse.Util.now () -. t0 in
         (* Joint configuration space: same product bound, fresh context,
-           sequential — comparable with the sweeps above. The smoke
+           one domain — comparable with the sweeps above. The smoke
            asserts the joint winner is never behind the unroll-only
            winner (the joint space is a superset, and the pruning is
-           admissible). *)
+           admissible). A second run on two domains must select the
+           same configuration. *)
         let c_joint = ctx name in
         let t0 = Dse.Util.now () in
-        let jt = Space.sweep_joint ~max_product:mp c_joint in
+        let jt = Space.sweep_joint ~max_product:mp ~jobs:1 c_joint in
         let t_joint = Dse.Util.now () -. t0 in
+        let c_joint2 = ctx name in
+        let jt2 = Space.sweep_joint ~max_product:mp ~jobs:2 c_joint2 in
         let best_full = Option.get (Space.best_fitting c_full sp_full) in
         let best_pruned = Option.get (Space.best_fitting c_pruned sp_pruned) in
         let best_verified = Option.get (Space.best_fitting c_verified sp_verified) in
@@ -419,6 +422,7 @@ let dse_json () =
           + c_pruned.Design.stats.Design.sched_memo_hits
         in
         let jb = Option.get (Space.joint_best c_joint jt) in
+        let jb2 = Option.get (Space.joint_best c_joint2 jt2) in
         let jb_cycles = Design.cycles jb.Space.point in
         let jb_slices = Design.space jb.Space.point in
         let ub_cycles = Design.cycles best_full.Space.point in
@@ -438,7 +442,7 @@ let dse_json () =
           (1000.0 *. t_search)
           r.Search.stats.Design.evaluations
           (1000.0 *. t_full) (1000.0 *. t_pruned)
-          c_pruned.Design.stats.Design.evaluations sp_pruned.Space.pruned
+          c_pruned.Design.stats.Design.evaluations sp_pruned.Space.pruned_bound
           sched_memo_hits
           (1000.0 *. t_verified)
           c_verified.Design.stats.Design.verify_violations;
@@ -474,7 +478,7 @@ let dse_json () =
               string_of_int c_pruned.Design.stats.Design.cache_hits );
             ( "quick_estimates",
               string_of_int c_pruned.Design.stats.Design.quick_estimates );
-            ("pruned", string_of_int sp_pruned.Space.pruned);
+            ("pruned", string_of_int sp_pruned.Space.pruned_bound);
             ("sched_memo_hits", string_of_int sched_memo_hits);
             ( "search_sched_memo_hits",
               string_of_int r.Search.stats.Design.sched_memo_hits );
@@ -516,14 +520,14 @@ let dse_json () =
             );
             ( "verified_selection_unchanged",
               if
-                Design.vector_equal best_full.Space.vector
-                  best_verified.Space.vector
+                Design.config_equal best_full.Space.config
+                  best_verified.Space.config
               then "true"
               else "false" );
             ( "selection_unchanged",
               if
-                Design.vector_equal best_full.Space.vector
-                  best_pruned.Space.vector
+                Design.config_equal best_full.Space.config
+                  best_pruned.Space.config
               then "true"
               else "false" );
             ("joint_space_size", string_of_int jt.Space.space_size);
@@ -540,6 +544,13 @@ let dse_json () =
             ("unroll_selection_cycles", string_of_int ub_cycles);
             ( "joint_strictly_better",
               if joint_strictly_better then "true" else "false" );
+            ( "joint_parallel_selection_unchanged",
+              if
+                Design.config_equal jb.Space.config jb2.Space.config
+                && jb.Space.point.Design.estimate
+                   = jb2.Space.point.Design.estimate
+              then "true"
+              else "false" );
           ]
           @ List.assoc name session_extra
           @ scaling_kernel_columns name))

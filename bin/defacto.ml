@@ -192,8 +192,8 @@ let joint_arg =
     "Search the joint transform-configuration space (unroll vector x \
      tile x scalar-replace/peel/licm toggles) instead of the unroll \
      lattice alone: illegal and redundant configurations are pruned \
-     before any transform runs, and above a size threshold the sweep \
-     turns best-first on the analytical bounds."
+     before any transform runs, and the sweep visits configurations \
+     best-first on the analytical bounds."
   in
   Arg.(value & flag & info [ "joint" ] ~doc)
 
@@ -421,10 +421,11 @@ let max_product_arg =
 
 let jobs_arg =
   let doc =
-    "Evaluate the unroll sweep on $(docv) parallel domains (positive; 1 \
-     forces the sequential path; the default scales with the host's \
-     cores). Applies to the unroll sweep only: the joint sweep \
-     ($(b,--joint)) is sequential and ignores $(docv)."
+    "Evaluate the sweep on $(docv) parallel domains (positive; 1 forces \
+     the sequential path). The unroll sweep's default scales with the \
+     host's cores; the joint sweep ($(b,--joint)) defaults to 1. With \
+     $(docv) > 1 the joint sweep selects the same design, but its \
+     evaluated rows and bound-pruned count may vary between runs."
   in
   Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -459,67 +460,62 @@ let space kernel file non_pipelined memories capacity max_product prune jobs
   let ctx =
     Dse.Design.context ~profile ~verify ~capacity ~backend ~store k
   in
-  if joint then begin
-    let j = Dse.Space.sweep_joint ~max_product ~tile_candidates ctx in
-    (match cache_dir with
-    | Some dir ->
-        Engine.Persist.save_points ~cache_dir:dir ~config ~kernel_key store;
-        Engine.Persist.save_memo ~cache_dir:dir ~config
-          store.Engine.Store.sched_memo
-    | None -> ());
-    Format.printf "# %-40s %10s %10s %10s %8s@." "config" "cycles" "slices"
-      "balance" "fits";
-    List.iter
-      (fun (jp : Dse.Space.joint_point) ->
-        Format.printf "%-42s %10d %10d %10.3f %8s@."
-          (Dse.Design.config_to_string jp.Dse.Space.config)
-          (Dse.Design.cycles jp.Dse.Space.point)
-          (Dse.Design.space jp.Dse.Space.point)
-          (Dse.Design.balance jp.Dse.Space.point)
-          (if Dse.Design.space jp.Dse.Space.point <= capacity then "yes"
-           else "no"))
-      j.Dse.Space.points;
-    (match Dse.Space.joint_best ctx j with
-    | Some b ->
-        Format.printf "# best fitting: %a: cycles=%d slices=%d@."
-          Dse.Design.pp_config b.Dse.Space.config
-          (Dse.Design.cycles b.Dse.Space.point)
-          (Dse.Design.space b.Dse.Space.point)
-    | None -> Format.printf "# no fitting design@.");
-    print_joint_counters j;
-    if verify then
-      Format.printf "# verify: %d design point(s) checked, %d violation(s)@."
-        ctx.Dse.Design.stats.Dse.Design.checked_points
-        ctx.Dse.Design.stats.Dse.Design.verify_violations;
-    Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.stats;
-    exit 0
-  end;
-  let sp = Dse.Space.sweep ~max_product ~prune ?jobs ctx in
+  let sp =
+    if joint then Dse.Space.sweep_joint ~max_product ~tile_candidates ?jobs ctx
+    else Dse.Space.sweep ~max_product ~prune ?jobs ctx
+  in
   (match cache_dir with
   | Some dir ->
       Engine.Persist.save_points ~cache_dir:dir ~config ~kernel_key store;
       Engine.Persist.save_memo ~cache_dir:dir ~config
         store.Engine.Store.sched_memo
   | None -> ());
-  Format.printf "# %-24s %10s %10s %10s %8s@." "vector" "cycles" "slices"
+  let label, width, key =
+    if joint then
+      ( "config",
+        40,
+        fun (p : Dse.Space.sweep_point) ->
+          Dse.Design.config_to_string p.Dse.Space.config )
+    else
+      ( "vector",
+        24,
+        fun p ->
+          Format.asprintf "%a" Dse.Design.pp_vector
+            p.Dse.Space.config.Dse.Design.vector )
+  in
+  Format.printf "# %-*s %10s %10s %10s %8s@." width label "cycles" "slices"
     "balance" "fits";
   List.iter
-    (fun (sp : Dse.Space.sweep_point) ->
-      Format.printf "%-26s %10d %10d %10.3f %8s@."
-        (Format.asprintf "%a" Dse.Design.pp_vector sp.Dse.Space.vector)
-        (Dse.Design.cycles sp.Dse.Space.point)
-        (Dse.Design.space sp.Dse.Space.point)
-        (Dse.Design.balance sp.Dse.Space.point)
-        (if Dse.Design.space sp.Dse.Space.point <= capacity then "yes" else "no"))
+    (fun (p : Dse.Space.sweep_point) ->
+      Format.printf "%-*s %10d %10d %10.3f %8s@." (width + 2) (key p)
+        (Dse.Design.cycles p.Dse.Space.point)
+        (Dse.Design.space p.Dse.Space.point)
+        (Dse.Design.balance p.Dse.Space.point)
+        (if Dse.Design.space p.Dse.Space.point <= capacity then "yes" else "no"))
     sp.Dse.Space.points;
   (match Dse.Space.best_fitting ctx sp with
-  | Some best ->
-      Format.printf "# best fitting: %a@." Dse.Design.pp_point best.Dse.Space.point
+  | Some b when joint ->
+      Format.printf "# best fitting: %a: cycles=%d slices=%d@."
+        Dse.Design.pp_config b.Dse.Space.config
+        (Dse.Design.cycles b.Dse.Space.point)
+        (Dse.Design.space b.Dse.Space.point)
+  | Some b ->
+      Format.printf "# best fitting: %a@." Dse.Design.pp_point b.Dse.Space.point
   | None -> Format.printf "# no fitting design@.");
-  if sp.Dse.Space.pruned > 0 then
-    Format.printf "# pruned without synthesis: %d of %d lattice points@."
-      sp.Dse.Space.pruned
-      (sp.Dse.Space.pruned + List.length sp.Dse.Space.points);
+  if joint then print_joint_counters sp
+  else begin
+    let lattice =
+      sp.Dse.Space.pruned_bound + List.length sp.Dse.Space.points
+    in
+    if sp.Dse.Space.pruned_illegal > 0 then
+      Format.printf
+        "# dropped as illegal before any transform: %d of %d lattice points@."
+        sp.Dse.Space.pruned_illegal
+        (sp.Dse.Space.pruned_illegal + lattice);
+    if sp.Dse.Space.pruned_bound > 0 then
+      Format.printf "# pruned without synthesis: %d of %d lattice points@."
+        sp.Dse.Space.pruned_bound lattice
+  end;
   if verify then
     Format.printf "# verify: %d design point(s) checked, %d violation(s)@."
       ctx.Dse.Design.stats.Dse.Design.checked_points

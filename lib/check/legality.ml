@@ -399,59 +399,61 @@ let wants_jam (k : Ast.kernel) (c : Transform.Pipeline.config) : bool =
       same design as the canonical [canon] (an inapplicable tile
       request; an unroll factor above 1 on a loop the tile renames; a
       peel request with scalar replacement off, which peels nothing).
-    - [Config_legal] otherwise. *)
-let config_verdict ?graph ?cost (k : Ast.kernel)
-    (c : Transform.Pipeline.config) : config_verdict =
-  let illegal_tile =
-    match c.Transform.Pipeline.tile with
-    | Some (index, _) when not (body_has_loop index k.Ast.k_body) ->
-        Some
-          (Printf.sprintf "tile index '%s' names no loop of the kernel" index)
-    | _ -> None
+    - [Config_legal] otherwise.
+
+    The kernel-level half of the jam test (dependence legality and the
+    scalar hazard) is computed at most once per application to [k], so
+    a sweep applies [config_verdict k] once and shares it across its
+    configurations — on one domain: the shared fact is a [Lazy.t]. *)
+let config_verdict (k : Ast.kernel) =
+  let jam_hazard =
+    lazy
+      (jam_unroll_legal_dependence k
+      && scalar_jam_hazard (Flowgraph.build k) <> None)
   in
-  match illegal_tile with
-  | Some why -> Config_illegal why
-  | None ->
-      if
-        wants_jam k c
-        && jam_unroll_legal_dependence k
-        &&
-        let g =
-          match graph with Some g -> g | None -> Flowgraph.build ?cost k
-        in
-        scalar_jam_hazard ?cost g <> None
-      then
-        Config_illegal
-          "unroll-and-jam at this vector reorders a loop-carried scalar \
-           recurrence the dependence test cannot see"
-      else begin
-        (* Canonicalize the redundant spellings. *)
-        let tile =
-          match c.Transform.Pipeline.tile with
-          | Some (index, t)
-            when spine_loop k index <> None
-                 && not (tiling_applicable k ~index ~tile:t) ->
-              None
-          | t -> t
-        in
-        let vector =
-          match tile with
-          | Some (ti, t) when tiling_applicable k ~index:ti ~tile:t ->
-              (* Strip-mining renames the loop, so the unroller ignores
-                 its entry: factor 1 is the canonical spelling. *)
-              List.map
-                (fun (i, u) -> if i = ti then (i, 1) else (i, u))
-                c.Transform.Pipeline.vector
-          | _ -> c.Transform.Pipeline.vector
-        in
-        let peel =
-          (* With replacement off the scalar report is empty, so the
-             peel stage has nothing to peel. *)
-          c.Transform.Pipeline.peel && c.Transform.Pipeline.scalar_replace
-        in
-        let canon = { c with Transform.Pipeline.tile; vector; peel } in
-        if canon = c then Config_legal else Config_redundant canon
-      end
+  fun (c : Transform.Pipeline.config) : config_verdict ->
+    let illegal_tile =
+      match c.Transform.Pipeline.tile with
+      | Some (index, _) when not (body_has_loop index k.Ast.k_body) ->
+          Some
+            (Printf.sprintf "tile index '%s' names no loop of the kernel" index)
+      | _ -> None
+    in
+    match illegal_tile with
+    | Some why -> Config_illegal why
+    | None ->
+        if wants_jam k c && Lazy.force jam_hazard then
+          Config_illegal
+            "unroll-and-jam at this vector reorders a loop-carried scalar \
+             recurrence the dependence test cannot see"
+        else begin
+          (* Canonicalize the redundant spellings. *)
+          let tile =
+            match c.Transform.Pipeline.tile with
+            | Some (index, t)
+              when spine_loop k index <> None
+                   && not (tiling_applicable k ~index ~tile:t) ->
+                None
+            | t -> t
+          in
+          let vector =
+            match tile with
+            | Some (ti, t) when tiling_applicable k ~index:ti ~tile:t ->
+                (* Strip-mining renames the loop, so the unroller ignores
+                   its entry: factor 1 is the canonical spelling. *)
+                List.map
+                  (fun (i, u) -> if i = ti then (i, 1) else (i, u))
+                  c.Transform.Pipeline.vector
+            | _ -> c.Transform.Pipeline.vector
+          in
+          let peel =
+            (* With replacement off the scalar report is empty, so the
+               peel stage has nothing to peel. *)
+            c.Transform.Pipeline.peel && c.Transform.Pipeline.scalar_replace
+          in
+          let canon = { c with Transform.Pipeline.tile; vector; peel } in
+          if canon = c then Config_legal else Config_redundant canon
+        end
 
 (* ------------------------------------------------------------------ *)
 

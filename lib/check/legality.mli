@@ -85,11 +85,12 @@ type config_verdict =
     factor above 1 on a non-innermost spine loop. *)
 val wants_jam : Ast.kernel -> Transform.Pipeline.config -> bool
 
-(** Verdict for one configuration, before any transform runs. [graph]
-    reuses an already-built flow graph of the source kernel. *)
+(** Verdict for one configuration, before any transform runs. The
+    kernel-level half of the jam test (one flow graph included) is
+    computed at most once per application to the kernel:
+    [let verdict = config_verdict k] shares it across every
+    configuration [verdict] is applied to (on one domain). *)
 val config_verdict :
-  ?graph:Analysis.Flowgraph.t ->
-  ?cost:Analysis.Flowgraph.cost ->
   Ast.kernel ->
   Transform.Pipeline.config ->
   config_verdict

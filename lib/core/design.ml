@@ -66,16 +66,6 @@ type stats = Engine.Store.stats = {
   mutable flow_solves : int;  (** dataflow fixpoint solves run *)
   mutable flow_seconds : float;
       (** wall time building and solving flow graphs *)
-  mutable joint_configs : int;
-      (** configurations enumerated by joint sweeps (the joint space
-          size before any pruning) *)
-  mutable joint_pruned_illegal : int;
-      (** joint configurations dropped by the legality pre-pruner *)
-  mutable joint_pruned_redundant : int;
-      (** joint configurations dropped as duplicates of a canonical
-          configuration already enumerated *)
-  mutable joint_pruned_bound : int;
-      (** joint configurations skipped on tier-1 lower bounds *)
 }
 
 let fresh_stats = Engine.Store.fresh_stats
@@ -286,13 +276,7 @@ let pp_stats fmt (s : stats) =
     (1000.0 *. s.estimate_seconds);
   if s.checked_points > 0 then
     Format.fprintf fmt "; verified %d point(s), %d violation(s)"
-      s.checked_points s.verify_violations;
-  if s.joint_configs > 0 then
-    Format.fprintf fmt
-      "; joint space: %d config(s) enumerated, %d illegal, %d redundant, %d \
-       bound-pruned"
-      s.joint_configs s.joint_pruned_illegal s.joint_pruned_redundant
-      s.joint_pruned_bound
+      s.checked_points s.verify_violations
 
 (** Per-stage wall-time split of the estimator (the [--profile] view):
     DFG construction, scheduling, data layout, and whatever remains of

@@ -129,12 +129,26 @@ let run ?(config = default_config) (ctx : Design.context) : result =
   let steps = ref [] in
   let evaluate v = Design.evaluate ctx v in
   let log point verdict = steps := { point; verdict } :: !steps in
-  (* Tier-1 capacity gate: the analytical area floor is admissible, so a
-     point it puts over capacity needs no synthesis to be rejected. *)
-  let quick_over_capacity v =
+  (* A vector is rejected without synthesis when its base configuration
+     is illegal (the jam would reorder a scalar recurrence, so the design
+     computes wrong values; the verdict's kernel-level facts, one flow
+     graph included, are computed once per run), or when the tier-1
+     capacity gate — the analytical area floor is admissible — puts it
+     over capacity (counted as pruned). *)
+  let verdict = Check.Legality.config_verdict ctx.Design.source in
+  let illegal v =
+    match verdict (Design.base_config ctx v) with
+    | Check.Legality.Config_illegal _ -> true
+    | _ -> false
+  in
+  let rejected v =
+    illegal v
+    ||
     match Design.quick ctx v with
-    | Some q -> q.Hls.Quick.slices_lb > ctx.Design.capacity
-    | None -> false
+    | Some q when q.Hls.Quick.slices_lb > ctx.Design.capacity ->
+        Design.note_pruned ctx;
+        true
+    | _ -> false
   in
   let pick_best cands =
     match cands with
@@ -201,10 +215,7 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       | p :: rest -> (
           match pick_best (vectors_between ctx sat ~lower:ubase ~upper:uinit ~product:p) with
           | Some v ->
-              if quick_over_capacity v then begin
-                Design.note_pruned ctx;
-                go rest
-              end
+              if rejected v then go rest
               else begin
                 let pt = evaluate v in
                 log pt "fit-probe";
@@ -225,10 +236,9 @@ let run ?(config = default_config) (ctx : Design.context) : result =
   while not !ok do
     incr iterations;
     if !iterations > config.max_steps then ok := true
-    else if quick_over_capacity !ucurr then begin
-      (* Rejected on the tier-1 bound alone: same move as the
-         over-capacity verdict, with no synthesis and no logged step. *)
-      Design.note_pruned ctx;
+    else if rejected !ucurr then begin
+      (* Same move as the over-capacity verdict, with no synthesis and
+         no logged step. *)
       if Design.vector_equal !ucurr uinit then begin
         ucurr := find_largest_fit ();
         ok := true
@@ -269,6 +279,10 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       if (not !ok) && Design.vector_equal !ucurr !ucb then ok := true
     end
   done;
+  (* The step budget can end the loop on an unchecked move; [ucb] is
+     always legal ([ubase], which jams nothing, or a vector that passed
+     [rejected] and was evaluated). *)
+  if illegal !ucurr then ucurr := !ucb;
   let selected = evaluate !ucurr in
   (* Make sure the selected design appears in the step log. *)
   if not (List.exists (fun s -> Design.vector_equal s.point.Design.vector !ucurr) !steps)

@@ -3,20 +3,42 @@
     combination and reports that the search visits only ~0.3% of the
     space while landing near the best design.
 
-    The space size follows the paper's accounting — all integer unroll
-    factors for each explorable loop — while the exhaustive sweep
-    evaluates the divisor sub-lattice, which contains every distinct
-    generated design. The sweep runs on several OCaml 5 domains (see
-    [jobs]) with per-domain forks of the evaluation cache merged back on
-    join; its result order is deterministic and independent of [jobs]. *)
+    One enumeration serves both sweeps: unroll vectors x tile options x
+    scalar-replacement/peel/LICM toggles ({!Design.config}), then the
+    legality pre-pruner ({!Check.Legality.config_verdict}, one shared
+    flow graph of the source), then canonical dedupe
+    ({!Design.normalize_config}). {!sweep} is the base slice — every
+    divisor vector at the context's own tile and toggles; {!sweep_joint}
+    takes every tile option and toggle combination.
 
-type sweep_point = { vector : (string * int) list; point : Design.point }
+    The space size follows the paper's accounting — all integer unroll
+    factors for each explorable loop — while the sweeps evaluate the
+    divisor sub-lattice, which contains every distinct generated design.
+    Both run one worker loop on several OCaml 5 domains (see [jobs])
+    with per-domain forks of the evaluation cache merged back on join;
+    the result order is the enumeration order whatever [jobs] is. *)
+
+type sweep_point = { config : Design.config; point : Design.point }
+
+type joint_point = sweep_point
 
 type t = {
-  points : sweep_point list;  (** the divisor lattice, evaluated *)
-  pruned : int;  (** lattice points skipped on tier-1 lower bounds *)
-  total_designs : int;  (** paper-style size: product of trip counts *)
+  points : sweep_point list;
+      (** the evaluated configurations, in enumeration order *)
+  space_size : int;
+      (** configurations enumerated before any pruning: unroll vectors x
+          tile options x toggle combinations *)
+  pruned_illegal : int;  (** dropped by the legality pre-pruner *)
+  pruned_redundant : int;
+      (** dropped as another spelling of a configuration already
+          enumerated (canonicalization + dedupe) *)
+  pruned_bound : int;  (** skipped on tier-1 lower bounds *)
+  total_designs : int;
+      (** paper-style accounting: all integer unroll factors x tile
+          options x toggle combinations *)
 }
+
+type joint = t
 
 (** All divisor vectors over the explorable loops with unroll product at
     most [max_product] (default unbounded). The bound is enforced during
@@ -31,36 +53,32 @@ val divisor_vectors :
     recommended domain minus the joining domain, capped at 8. *)
 val default_jobs : unit -> int
 
-(** Evaluate the whole lattice. [eligible] defaults to the saturation
-    analysis's loops; [max_product] skips points with larger unroll
-    products; [jobs] is the number of evaluating domains (default
-    {!default_jobs}). The sweep spawns and joins its own domains, each
-    evaluating against a {!Design.fork} absorbed back after the join;
-    with [jobs <= 1], or fewer than two points per domain, it runs
-    inline on the context. The result is the same for every [jobs].
+(** The unroll sweep: the divisor vectors over the saturation analysis's
+    loops, with unroll product at most [max_product], at the base
+    pipeline's tile and toggles. [jobs] is the number of evaluating
+    domains (default {!default_jobs}); with [jobs <= 1], or fewer than
+    two configurations per domain, the sweep runs inline on the context.
 
     [prune] (default [false]) switches the sweep to two-tier: tier-1
-    lower bounds ({!Design.quick}) are computed for the whole lattice
-    first, points are visited in ascending lower-bound order, and a
-    point is skipped without synthesis when its bounds prove it cannot
-    fit the device or cannot come within 5% (the default slack of
-    {!smallest_comparable}) of the best fitting design found so far.
-    Admissible: {!best_fitting} and {!smallest_comparable} (at slacks up
-    to 5%) select the same designs as the exhaustive sweep; only
-    [points] shrinks — skipped points are counted in [pruned] and in
+    lower bounds ({!Design.quick_config}) are computed for every
+    configuration first, configurations are visited in ascending
+    lower-bound order, and one is skipped without synthesis when its
+    bounds prove it cannot fit the device or cannot come within 5% (the
+    default slack of {!smallest_comparable}) of the best fitting design
+    found so far. A configuration without a bound (a backend with no
+    bound tier) is never skipped. Admissible: {!best_fitting} and
+    {!smallest_comparable} (at slacks up to 5%) select the same designs
+    as the exhaustive sweep; only [points] shrinks — skipped
+    configurations are counted in [pruned_bound] and in
     [Design.stats.pruned]. With [jobs > 1] the pruned *set* may vary
-    between runs (domain timing decides which points see the incumbent
-    early), the selections never do. When tier 1 does not apply (tiling
-    pipelines) the sweep silently falls back to exhaustive evaluation. *)
+    between runs (domain timing decides which configurations see the
+    incumbent early), the selections never do. *)
 val sweep :
-  ?eligible:string list ->
-  ?max_product:int ->
-  ?prune:bool ->
-  ?jobs:int ->
-  Design.context ->
-  t
+  ?max_product:int -> ?prune:bool -> ?jobs:int -> Design.context -> t
 
-(** Best-performing design that fits the device. *)
+(** Best fitting design: fewest cycles, ties to the smaller design, then
+    to enumeration order (which, in the joint space, puts the unroll-only
+    sub-space first). *)
 val best_fitting : Design.context -> t -> sweep_point option
 
 (** Smallest design within [slack] of the best fitting design's
@@ -71,29 +89,7 @@ val smallest_comparable :
 (** Fraction of the paper-style space a search visited. *)
 val fraction_searched : t -> visited:int -> float
 
-(** {2 The joint configuration space}
-
-    Design points promoted from unroll vectors to full transform
-    configurations ({!Design.config}): unroll vector x tile option x
-    scalar-replacement/peel/LICM toggles, searched jointly. *)
-
-type joint_point = { config : Design.config; point : Design.point }
-
-type joint = {
-  points : joint_point list;
-      (** the evaluated configurations, in enumeration order *)
-  space_size : int;
-      (** joint lattice size before any pruning: unroll vectors x tile
-          options x toggle combinations *)
-  pruned_illegal : int;  (** dropped by the legality pre-pruner *)
-  pruned_redundant : int;
-      (** dropped as another spelling of a configuration already
-          enumerated (canonicalization + dedupe) *)
-  pruned_bound : int;  (** skipped on tier-1 lower bounds *)
-  total_designs : int;
-      (** paper-style accounting over the joint space: all integer
-          unroll factors x tile options x toggles *)
-}
+(** {2 The joint configuration space} *)
 
 (** [[4; 8; 16]] — the default tile-size requests of the joint sweep. *)
 val default_tile_candidates : int list
@@ -104,27 +100,19 @@ val default_tile_candidates : int list
 val joint_tile_options :
   Design.context -> candidates:int list -> (string * int) option list
 
-(** Sweep the joint configuration space. Enumeration runs the full
-    product (counted in [space_size]); each configuration then passes
-    the legality pre-pruner ({!Check.Legality.config_verdict}, one
-    shared flow graph of the source — illegal and redundant
-    configurations are dropped before any transform runs) and canonical
-    dedupe. Below [exhaustive_below] surviving configurations (default
-    64) every survivor is evaluated in enumeration order; above it the
-    sweep turns best-first — ascending tier-1 cycle bounds, skipping
-    configurations whose bounds prove they cannot beat the incumbent or
-    fit the device (admissible: the selection matches the exhaustive
-    sweep's). Sequential; counters land in the context's [joint_*]
-    stats. *)
+(** The joint sweep: the same enumeration and worker loop as {!sweep},
+    over every tile option and all eight toggle combinations (the base
+    pipeline's first), always pruned on tier-1 bounds. [jobs] defaults
+    to 1, unlike {!sweep}'s: on one domain the evaluated points and the
+    [pruned_bound] count are deterministic. With [jobs > 1] the
+    selections stay the same, but which configurations are bound-pruned
+    (so [points] and [pruned_bound]) may vary between runs. *)
 val sweep_joint :
-  ?eligible:string list ->
   ?max_product:int ->
   ?tile_candidates:int list ->
-  ?exhaustive_below:int ->
+  ?jobs:int ->
   Design.context ->
   joint
 
-(** Best configuration of the joint space: fewest cycles among the
-    fitting points, ties to the smaller design, then to enumeration
-    order (which puts the unroll-only sub-space first). *)
+(** {!best_fitting}. *)
 val joint_best : Design.context -> joint -> joint_point option

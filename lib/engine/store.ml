@@ -77,17 +77,6 @@ type stats = {
   mutable flow_solves : int;  (** dataflow fixpoint solves run *)
   mutable flow_seconds : float;
       (** wall time building and solving flow graphs *)
-  mutable joint_configs : int;
-      (** configurations enumerated by joint sweeps (the joint space
-          size, pruned configurations included) *)
-  mutable joint_pruned_illegal : int;
-      (** joint configurations dropped by the legality pre-pruner
-          before any transform ran *)
-  mutable joint_pruned_redundant : int;
-      (** joint configurations dropped as duplicates of a canonical
-          configuration elsewhere in the space *)
-  mutable joint_pruned_bound : int;
-      (** joint configurations skipped on tier-1 lower bounds *)
 }
 
 let fresh_stats () =
@@ -109,10 +98,6 @@ let fresh_stats () =
     flow_builds = 0;
     flow_solves = 0;
     flow_seconds = 0.0;
-    joint_configs = 0;
-    joint_pruned_illegal = 0;
-    joint_pruned_redundant = 0;
-    joint_pruned_bound = 0;
   }
 
 let stats_copy (s : stats) : stats =
@@ -134,10 +119,6 @@ let stats_copy (s : stats) : stats =
     flow_builds = s.flow_builds;
     flow_solves = s.flow_solves;
     flow_seconds = s.flow_seconds;
-    joint_configs = s.joint_configs;
-    joint_pruned_illegal = s.joint_pruned_illegal;
-    joint_pruned_redundant = s.joint_pruned_redundant;
-    joint_pruned_bound = s.joint_pruned_bound;
   }
 
 (** Add [from]'s counters into [into] — the stats half of {!absorb}. *)
@@ -156,13 +137,7 @@ let stats_add ~(into : stats) (from : stats) =
   into.verify_violations <- into.verify_violations + from.verify_violations;
   into.flow_builds <- into.flow_builds + from.flow_builds;
   into.flow_solves <- into.flow_solves + from.flow_solves;
-  into.flow_seconds <- into.flow_seconds +. from.flow_seconds;
-  into.joint_configs <- into.joint_configs + from.joint_configs;
-  into.joint_pruned_illegal <-
-    into.joint_pruned_illegal + from.joint_pruned_illegal;
-  into.joint_pruned_redundant <-
-    into.joint_pruned_redundant + from.joint_pruned_redundant;
-  into.joint_pruned_bound <- into.joint_pruned_bound + from.joint_pruned_bound
+  into.flow_seconds <- into.flow_seconds +. from.flow_seconds
 
 let stats_diff ~(before : stats) ~(after : stats) : stats =
   {
@@ -183,12 +158,6 @@ let stats_diff ~(before : stats) ~(after : stats) : stats =
     flow_builds = after.flow_builds - before.flow_builds;
     flow_solves = after.flow_solves - before.flow_solves;
     flow_seconds = after.flow_seconds -. before.flow_seconds;
-    joint_configs = after.joint_configs - before.joint_configs;
-    joint_pruned_illegal =
-      after.joint_pruned_illegal - before.joint_pruned_illegal;
-    joint_pruned_redundant =
-      after.joint_pruned_redundant - before.joint_pruned_redundant;
-    joint_pruned_bound = after.joint_pruned_bound - before.joint_pruned_bound;
   }
 
 type t = {

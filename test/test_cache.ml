@@ -148,7 +148,7 @@ let prop_parallel_sweep_matches_sequential =
       List.length seq.Space.points = List.length par.Space.points
       && List.for_all2
            (fun (a : Space.sweep_point) (b : Space.sweep_point) ->
-             a.Space.vector = b.Space.vector
+             a.Space.config.Design.vector = b.Space.config.Design.vector
              && estimates_equal a.Space.point b.Space.point)
            seq.Space.points par.Space.points)
 

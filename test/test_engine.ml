@@ -182,7 +182,11 @@ let test_backend_equivalence () =
            rp.Search.selected.Design.vector);
       let swg = Space.sweep ~max_product:16 ~prune:true ~jobs:1 gated in
       let swp = Space.sweep ~max_product:16 ~jobs:1 plain in
-      let vec o = Option.map (fun (sp : Space.sweep_point) -> sp.Space.vector) o in
+      let vec o =
+        Option.map
+          (fun (sp : Space.sweep_point) -> sp.Space.config.Design.vector)
+          o
+      in
       Alcotest.(check bool)
         (name ^ ": best fitting unchanged by the gate")
         true

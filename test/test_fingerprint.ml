@@ -152,7 +152,8 @@ let test_memo_exact_lattice () =
             Hls.Estimate.estimate ctx.Design.profile pt.Space.point.Design.kernel
           in
           Alcotest.(check bool)
-            (Printf.sprintf "%s %s" name (Helpers.vector_to_string pt.Space.vector))
+            (Printf.sprintf "%s %s" name
+               (Helpers.vector_to_string pt.Space.config.Design.vector))
             true
             (estimates_identical plain pt.Space.point.Design.estimate))
         sp.Space.points)

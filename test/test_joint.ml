@@ -486,16 +486,19 @@ let test_joint_dominates () =
       | _, None -> Alcotest.failf "%s: no joint selection" name)
     Kernels.names
 
-(* The exhaustive and best-first joint sweeps agree on the selection:
-   the bound-guided prune is admissible. *)
+(* The pruned joint sweep selects what the exhaustive one does: the
+   bound-guided prune is admissible. The [full] backend has no bound
+   tier, so its sweep evaluates every surviving configuration. *)
 let test_best_first_matches_exhaustive () =
   List.iter
     (fun name ->
       let k = kernel name in
-      let cx = Design.context ~profile k in
-      let ex = Space.sweep_joint ~max_product:8 ~exhaustive_below:max_int cx in
+      let cx = Design.context ~profile ~backend:Backend.full k in
+      let ex = Space.sweep_joint ~max_product:8 ~jobs:1 cx in
+      Alcotest.(check int) (name ^ ": full backend prunes nothing") 0
+        ex.Space.pruned_bound;
       let cb = Design.context ~profile k in
-      let bf = Space.sweep_joint ~max_product:8 ~exhaustive_below:0 cb in
+      let bf = Space.sweep_joint ~max_product:8 ~jobs:1 cb in
       match (Space.joint_best cx ex, Space.joint_best cb bf) with
       | Some a, Some b ->
           Alcotest.(check bool)
@@ -505,7 +508,39 @@ let test_best_first_matches_exhaustive () =
             && a.Space.point.Design.estimate = b.Space.point.Design.estimate)
       | None, None -> ()
       | _ -> Alcotest.failf "%s: sweeps disagree on having a selection" name)
-    [ "fir"; "jac" ]
+    Kernels.names
+
+(* The designs the unroll sweep and the Figure-2 search select on the
+   recurrence kernel compute the source's values: the vectors whose jam
+   would reorder the recurrence are dropped before any transform runs. *)
+let sim_matches_eval (p : Design.point) =
+  let inputs = Helpers.inputs_for recurrence_kernel in
+  (Hls.Sim.run ~inputs profile p.Design.kernel).Hls.Sim.arrays
+  = Eval.observables (Eval.run ~inputs recurrence_kernel)
+
+let test_recurrence_sweep () =
+  let ctx = Design.context ~profile recurrence_kernel in
+  let sp = Space.sweep ~jobs:1 ctx in
+  Alcotest.(check bool) "illegal vectors dropped" true
+    (sp.Space.pruned_illegal > 0);
+  match Space.best_fitting ctx sp with
+  | None -> Alcotest.fail "no fitting design"
+  | Some b ->
+      Alcotest.(check bool) "selection computes the source's values" true
+        (sim_matches_eval b.Space.point)
+
+let test_recurrence_search () =
+  let ctx = Design.context ~profile recurrence_kernel in
+  let r = Dse.Search.run ctx in
+  Alcotest.(check bool) "selection computes the source's values" true
+    (sim_matches_eval r.Dse.Search.selected);
+  (* A zero step budget ends the loop before any move is checked, on the
+     illegal saturation vector itself. *)
+  let config = { Dse.Search.default_config with max_steps = 0 } in
+  let r0 = Dse.Search.run ~config ctx in
+  Alcotest.(check bool) "budget-cut selection computes the source's values"
+    true
+    (sim_matches_eval r0.Dse.Search.selected)
 
 let () =
   Alcotest.run "joint"
@@ -548,5 +583,9 @@ let () =
         [
           Alcotest.test_case "joint dominates unroll-only" `Quick
             test_joint_dominates;
+          Alcotest.test_case "recurrence: unroll sweep selects legally" `Quick
+            test_recurrence_sweep;
+          Alcotest.test_case "recurrence: search selects legally" `Quick
+            test_recurrence_search;
         ] );
     ]

@@ -415,12 +415,12 @@ let test_quick_admissible_paper_kernels () =
       let sp = Space.sweep ~max_product:16 ~jobs:1 ctx in
       List.iter
         (fun (pt : Space.sweep_point) ->
-          match Design.quick ctx pt.Space.vector with
+          match Design.quick ctx pt.Space.config.Design.vector with
           | None -> Alcotest.fail (name ^ ": quick facts unavailable")
           | Some q ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s %s admissible" name
-                   (Helpers.vector_to_string pt.Space.vector))
+                   (Helpers.vector_to_string pt.Space.config.Design.vector))
                 true
                 (admissible q pt.Space.point.Design.estimate))
         sp.Space.points)
@@ -438,7 +438,7 @@ let sweep_pair ?(jobs = 1) name ~max_product =
   (full_ctx, full, pruned_ctx, pruned)
 
 let vec = function
-  | Some (p : Space.sweep_point) -> Some p.Space.vector
+  | Some (p : Space.sweep_point) -> Some p.Space.config.Design.vector
   | None -> None
 
 let test_pruned_sweep name () =
@@ -447,8 +447,11 @@ let test_pruned_sweep name () =
   Alcotest.(check int)
     (name ^ " points partition")
     (List.length full.Space.points)
-    (List.length pruned.Space.points + pruned.Space.pruned);
-  Alcotest.(check bool) (name ^ " some points pruned") true (pruned.Space.pruned > 0);
+    (List.length pruned.Space.points + pruned.Space.pruned_bound);
+  Alcotest.(check bool)
+    (name ^ " some points pruned")
+    true
+    (pruned.Space.pruned_bound > 0);
   (* strictly fewer full syntheses than the exhaustive sweep *)
   let full_evals = (Design.stats_snapshot full_ctx).Design.evaluations in
   let pruned_evals = (Design.stats_snapshot pruned_ctx).Design.evaluations in
@@ -480,7 +483,7 @@ let test_parallel_pruned_sweep () =
       Alcotest.(check int)
         (name ^ " points + pruned = lattice")
         (List.length full.Space.points)
-        (evaluated + par.Space.pruned);
+        (evaluated + par.Space.pruned_bound);
       Alcotest.(check int)
         (name ^ " evaluations = points")
         evaluated
@@ -504,19 +507,44 @@ let test_parallel_pruned_sweep () =
           if
             not
               (List.exists
-                 (fun (e : Space.sweep_point) -> e.Space.vector = sp.Space.vector)
+                 (fun (e : Space.sweep_point) ->
+                   e.Space.config.Design.vector = sp.Space.config.Design.vector)
                  par.Space.points)
           then
-            match Design.quick full_ctx sp.Space.vector with
+            match Design.quick full_ctx sp.Space.config.Design.vector with
             | None -> Alcotest.fail (name ^ ": quick facts unavailable")
             | Some q ->
                 Alcotest.(check bool)
                   (Printf.sprintf "%s %s pruned soundly" name
-                     (Helpers.vector_to_string sp.Space.vector))
+                     (Helpers.vector_to_string sp.Space.config.Design.vector))
                   true
                   (q.Quick.slices_lb > full_ctx.Design.capacity
                   || q.Quick.cycles_lb > limit))
-        full.Space.points)
+        full.Space.points;
+      (* The joint sweep runs the same loop: against the [full] backend,
+         which has no bound tier and so evaluates every survivor. *)
+      let k = Option.get (Kernels.find name) in
+      let ex_ctx = Design.context ~backend:Engine.Backend.full k in
+      let ex = Space.sweep_joint ~max_product:16 ~jobs:1 ex_ctx in
+      let jpar_ctx = Design.context k in
+      let jpar = Space.sweep_joint ~max_product:16 ~jobs:3 jpar_ctx in
+      let evaluated = List.length jpar.Space.points in
+      Alcotest.(check int)
+        (name ^ " joint: evaluated + pruned = survivors")
+        (List.length ex.Space.points)
+        (evaluated + jpar.Space.pruned_bound);
+      Alcotest.(check int)
+        (name ^ " joint: evaluations = points")
+        evaluated
+        (Design.stats_snapshot jpar_ctx).Design.evaluations;
+      let cfg o =
+        Option.map (fun (p : Space.joint_point) -> p.Space.config) o
+      in
+      Alcotest.(check bool)
+        (name ^ " joint: same selection")
+        true
+        (cfg (Space.joint_best ex_ctx ex)
+        = cfg (Space.joint_best jpar_ctx jpar)))
     [ "fir"; "mm"; "jac" ]
 
 (* ------------------------------------------------------------------ *)
